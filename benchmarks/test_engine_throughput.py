@@ -26,12 +26,13 @@ tracked across PRs.  Two regimes per the Sec. III-A pipelining story:
   and replays it arithmetically — vectorized kernel blocks, ndarray
   channel runs, counters advanced in one step.  It pays off exactly
   where the event core cannot: ii=1 pipelines where every kernel is
-  busy every cycle.  Whether it engages is bandwidth-limited: at
-  width 16 an f32 burst is 64 B/cycle against the model's 53 B/cycle
-  bank budget, so the memory kernels carry residue, ``ready()`` is 0
-  and the tier falls back to exact event stepping (parity, no win).
-  At width 8 the burst fits, the whole pipeline is period-1, and the
-  tier fast-forwards >90% of the run — the ``axpydot_w8`` rows.
+  busy every cycle.  At width 8 the burst fits the bank budget, the
+  whole pipeline is period-1, and the tier fast-forwards >90% of the
+  run — the ``axpydot_w8`` rows.  At width 16 an f32 burst is
+  64 B/cycle against the model's 53 B/cycle bank budget, so the memory
+  kernels carry a partial-burst residue and the steady state repeats
+  only every P > 1 cycles; the tier replays those periods too, after a
+  longer fill.
 
 ``kernel_steps`` counts each kernel's live cycles (active + stalled) —
 a mode-independent measure of simulated work (asserted identical across

@@ -379,10 +379,12 @@ def batched_dot_kernel(b, n, ch_x, ch_y, ch_res, width=1, dtype=np.float32):
 
     def gen():
         while st.done < total:
-            seg = st.done // n
-            c = min(width, (seg + 1) * n - st.done)
+            c = min(width, (st.done // n + 1) * n - st.done)
             xs = _chunk((yield Pop(ch_x, c)), c)
             ys = _chunk((yield Pop(ch_y, c)), c)
+            # The segment is read after the pops: a bulk window may have
+            # advanced the cursor while this generator waited on them.
+            seg = st.done // n
             accs[seg] = accs[seg] + _tree_reduce(
                 [dtype(x) * dtype(y) for x, y in zip(xs, ys)], dtype)
             st.done += c
@@ -440,11 +442,10 @@ def batched_axpy_kernel(b, n, alphas, ch_x, ch_y, ch_out,
 
     def gen():
         while st.done < total:
-            seg = st.done // n
-            c = min(width, (seg + 1) * n - st.done)
-            a = alpha_seg[seg]
+            c = min(width, (st.done // n + 1) * n - st.done)
             xs = _chunk((yield Pop(ch_x, c)), c)
             ys = _chunk((yield Pop(ch_y, c)), c)
+            a = alpha_seg[st.done // n]
             yield Push(ch_out, tuple(a * dtype(x) + dtype(y)
                                      for x, y in zip(xs, ys)), None)
             st.done += c

@@ -4,76 +4,139 @@ The event core already skips provably idle cycles, but a pipeline at
 full throughput has none: every kernel executes every cycle, so event
 mode degenerates to the dense loop (the honest ~1x of
 ``BENCH_engine.json`` in the ii=1 regime).  This scheduler adds the
-missing fast path: when the design is in a *cycle-periodic steady
-state*, K cycles are executed as one arithmetic superstep instead of K
-generator resumes per kernel.
+missing fast path: when the design is in a *periodic steady state*,
+whole periods of P cycles are executed as one arithmetic superstep
+instead of P generator resumes per kernel each.
+
+Periods longer than one cycle are the normal case for the paper's
+bandwidth-bound configurations: a Stratix 10 bank grants 53 B/cycle, a
+16-lane f32 port asks for 64, so the readers deliver 13 elements a
+cycle and the 16-lane consumer stalls 3 cycles in every 16.  No single
+cycle repeats the one before it, but the whole system state returns
+every P = 16 cycles.
 
 How a window is proven, not guessed
 -----------------------------------
-A superstep must be byte-identical to K event cycles, so the fast path
-only engages on evidence:
+A superstep must be byte-identical to the cycles it replaces, so the
+fast path only engages on evidence:
 
 1. **Probe precondition** — every kernel queued for this cycle carries
    an executable :class:`~repro.fpga.pattern.StaticPattern` with
-   ``ii == 1`` and at least :data:`~BulkScheduler.MIN_WINDOW` steady
-   iterations of state left (``ready()``), none is blocked, and no
-   *foreign* kernel waits on any pattern channel (its wake order could
-   not be replayed).  Observers disable the fast path outright — an
-   instrumented run wants per-cycle callbacks, and correctness of
-   metrics/traces then holds trivially because every cycle is real.
-2. **Fingerprint probe** — the relative channel state (FIFO occupancy
-   plus staged-readiness offsets of *every* channel) and the runnable
-   set are captured, one cycle is executed **normally**, and the
-   fingerprint is recomputed.  If the two differ, nothing was lost (a
-   real cycle ran) and probing backs off exponentially.  If they match,
-   the system state is period-1: by induction every subsequent cycle
-   repeats the probe cycle exactly — same pops, pushes, maturations,
-   full DRAM grants — until some kernel leaves its steady phase or a
+   ``ii == 1``, has started, and sits at an iteration boundary: not
+   blocked, or blocked on the first ``Pop`` of an iteration.  No
+   patterned kernel may wait anywhere else: one holding popped or
+   computed values in its generator frame could not be replayed.
+   Observers disable the fast path outright — an instrumented run
+   wants per-cycle callbacks, and correctness of metrics/traces then
+   holds trivially because every cycle is real.
+2. **Fingerprint probe** — each probe cycle captures the relative
+   state: per channel its FIFO occupancy and staged-readiness offsets,
+   per kernel its queued flag and blocked op (kind, channel, count),
+   and each pattern's :meth:`~repro.fpga.pattern.StaticPattern.residue`
+   (the partial-burst state a DRAM kernel carries across cycles).  The
+   cycles execute **normally**; a fingerprint that repeats one from at
+   most :data:`~BulkScheduler.MAX_PERIOD` cycles earlier names a
+   candidate period P.  Every counter is then snapshotted and one more
+   period executes normally; the state must repeat again, staged
+   offsets compared exactly.  If no candidate confirms within
+   ``2 * MAX_PERIOD`` cycles nothing is lost (every probe cycle was
+   real), and probing backs off exponentially.  A confirmed period
+   proves the state P-periodic: by induction every following period
+   repeats it exactly — same pops, pushes, stalls, maturations and
+   DRAM grants — until some kernel leaves its steady phase or a
    foreign event fires.
-3. **Window bound** — K is clamped to the smallest pattern ``ready()``,
-   the earliest viable foreign heap event (a sleeper's wake, a
-   non-window maturation) and ``max_cycles``, so nothing that could
-   interrupt the periodicity lies inside the window.
+3. **Window checks** — the kernels stepped during the confirming
+   period form the window.  Each must satisfy the precondition of step
+   1, its channels must be single-producer/single-consumer inside the
+   window, no other channel may have moved a value, no foreign kernel
+   may wait on a window channel, and each kernel must have moved a
+   whole number ``i`` of ``lanes``-wide iterations on every port (its
+   iterations per period).
+4. **Window bound** — the number of periods k is clamped so that each
+   kernel keeps ``k * i`` steady iterations in hand (one more if it
+   ends the period blocked, since its pending ``Pop`` already names the
+   next iteration's width), that the earliest viable foreign heap event
+   (a sleeper's wake, a non-window maturation), injected memory fault
+   and ``max_cycles`` all fall after the window.
 
-The replay itself walks the window kernels in topological producer →
-consumer order, moves ``K * lanes`` values per port through the
-channels' block-run transfers (:meth:`Channel.push_block` /
-:meth:`Channel.pop_block` — ndarray slices, not per-element tuples),
-lets each pattern's vectorized ``block()`` advance the kernel's shared
-loop state, and adds ``K`` to the activity/traffic/bank counters.  No
-stall is charged (a steady cycle has none), ``max_occupancy`` cannot
-exceed the probe cycle's already-recorded peak (the per-cycle state
-repeats), and :meth:`Channel.end_window` restores exact per-element
-storage — with the FIFO occupancy asserted against the fingerprint.
+The replay walks the window kernels in topological producer → consumer
+order.  Each pops ``k * i * lanes`` values per read port through
+:meth:`Channel.pop_block`, lets its pattern's vectorized ``block(k *
+i)`` advance the kernel's shared loop state, and appends its outputs
+with :meth:`Channel.push_block` — ndarray slices, not per-element
+tuples.  Every other counter the confirming period moved (active and
+stall cycles, channel stall counts, bank bytes, busy and denied cycles)
+grows by k times its per-period delta; ``max_occupancy`` cannot exceed
+that period's already-recorded peak.  :meth:`Channel.end_window` then
+rebuilds each window channel from the period's start occupancy and
+staged offsets, shifted by ``k * P`` cycles, with a count check that
+raises :class:`~repro.fpga.errors.SimulationError` if the window left a
+different number of values.
 
 Anything the proof does not cover — fill and drain phases, epilogues,
-unpatterned kernels, declare-only patterns, ii > 1, blocked neighbours,
-``trace=True`` — executes on the inherited event scheduler unchanged,
-which is what keeps mixed static/dynamic designs and all verdicts
-(including :class:`~repro.fpga.errors.DeadlockError`) byte-identical
-across the three cores.
+unpatterned kernels, declare-only patterns, ii > 1, periods longer than
+``MAX_PERIOD``, ``trace=True`` — executes on the inherited event
+scheduler unchanged, which is what keeps mixed static/dynamic designs
+and all verdicts (including :class:`~repro.fpga.errors.DeadlockError`)
+byte-identical across the cores.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 from .errors import SimulationError
 from .scheduler import _KIDX, _MATURE, WakeListScheduler
 
 __all__ = ["BulkScheduler", "CertifiedScheduler"]
 
+#: Counters a window advances arithmetically, per owner.  Channel
+#: pushes/pops are not listed: the block transfers count what they move.
+_KERNEL_COUNTERS = ("active_cycles", "stall_cycles")
+_CHANNEL_COUNTERS = ("stalled_push_cycles", "stalled_pop_cycles")
+_BANK_COUNTERS = ("bytes_read", "bytes_written", "busy_cycles",
+                  "denied_cycles")
+#: Ready cycle of a staged ``(ready, value)`` entry.
+_READY = itemgetter(0)
+
+
+def _steady(k) -> bool:
+    """True when ``k`` has an executable ii=1 pattern and sits at an
+    iteration boundary: runnable, or blocked on the first ``Pop`` of an
+    iteration (nothing of the iteration is held in its frame yet)."""
+    p = k.pattern
+    if p is None or p._ready is None or p.ii != 1:
+        return False
+    b = k.blocked
+    if b is None:
+        return True
+    return (b.kind == "pop" and bool(p.reads)
+            and b.channel is p.reads[0][0])
+
 
 class BulkScheduler(WakeListScheduler):
-    """Event scheduler plus the steady-state superstep fast path."""
+    """Event scheduler plus the periodic steady-state superstep."""
 
-    #: Smallest window worth replaying arithmetically.
+    #: Smallest window worth replaying arithmetically, in cycles.
     MIN_WINDOW = 4
+    #: Longest period a probe looks for, in cycles.
+    MAX_PERIOD = 64
     #: Cap on the exponential probe backoff, in cycles.
     MAX_COOLDOWN = 64
 
     def __init__(self, engine, max_cycles: int):
         super().__init__(engine, max_cycles)
+        self._seen = None         # open probe: {fingerprint: cycle}
+        self._probe_start = 0     # cycle the open probe began
+        self._confirm = None      # (cycle, fingerprint, anchor) to verify
         self._cool = 0            # cycles left before the next probe
         self._cooldown = 1        # next backoff length
+        banks = engine.memory.bank_stats if engine.memory is not None else ()
+        self._counters = (
+            [(k.stats, a) for k in self.kernels for a in _KERNEL_COUNTERS]
+            + [(ch.stats, a) for ch in self.channels
+               for a in _CHANNEL_COUNTERS]
+            + [(bs, a) for bs in banks for a in _BANK_COUNTERS])
         # Introspection for tests/benchmarks/telemetry: number of
         # supersteps and total cycles they fast-forwarded, plus how
         # often the runtime had to speculate (probe) and back off
@@ -87,90 +150,189 @@ class BulkScheduler(WakeListScheduler):
 
     # -- probe --------------------------------------------------------------
     def _run_cycle(self) -> None:
-        if self._cool > 0 or self._observers or not self._precheck():
-            if self._cool > 0:
-                self._cool -= 1
-            super()._run_cycle()
-            return
-        self.engine._bulk_probes += 1
-        fp0 = self._fingerprint()
+        confirm = self._confirm
+        if confirm is not None:
+            if self.now >= confirm[0]:
+                # One period past the anchor the state must repeat again
+                # (an idle jump past that cycle fails the candidate).
+                self._confirm = None
+                if (self.now == confirm[0]
+                        and self._fingerprint() == confirm[1]
+                        and self._replay(confirm[2])):
+                    self._cooldown = 1
+                    return
+                self._back_off()
+        elif self._seen is not None:
+            fp = self._fingerprint()
+            t0 = self._seen.get(fp)
+            if (t0 is not None and self.now - t0 <= self.MAX_PERIOD
+                    and self._can_probe()):
+                # A candidate period: measure the next one against it.
+                self._seen = None
+                self._confirm = (2 * self.now - t0, fp, self._anchor())
+            elif self.now - self._probe_start >= 2 * self.MAX_PERIOD:
+                self._seen = None
+                self._back_off()
+            else:
+                self._seen[fp] = self.now
+        elif self._cool > 0:
+            self._cool -= 1
+        elif not self._observers and self._can_probe():
+            self._probe_start = self.now
+            self._seen = {self._fingerprint(): self.now}
+            self.engine._bulk_probes += 1
         super()._run_cycle()
-        fp1 = self._fingerprint()
-        if fp1 == fp0 and self._replay(fp1):
-            self._cooldown = 1
-        else:
-            self.engine._bulk_cooldowns += 1
-            self._cool = self._cooldown
-            self._cooldown = min(self._cooldown * 2, self.MAX_COOLDOWN)
 
-    def _precheck(self) -> bool:
+    def _back_off(self) -> None:
+        self.engine._bulk_cooldowns += 1
+        self._cool = self._cooldown
+        self._cooldown = min(self._cooldown * 2, self.MAX_COOLDOWN)
+
+    def _can_probe(self) -> bool:
         cur = self._current
         if not cur:
             return False
         for k in cur:
-            p = k.pattern
-            if (p is None or p._ready is None or p.ii != 1
-                    or k.blocked is not None
-                    or p.ready() < self.MIN_WINDOW):
+            if (not _steady(k) or k.stats.start_cycle is None
+                    or k.pattern.ready() < 1):
+                return False
+        # A patterned kernel waiting mid-iteration would join the window
+        # unreplayable; probe from a phase where none does.
+        for k in self.kernels:
+            if (k.blocked is not None and not k.done
+                    and k.pattern is not None and not _steady(k)):
                 return False
         inj = self.engine._injector
-        for k in cur:
-            p = k.pattern
-            for ch, _w in p.reads:
-                if ch._pop_waiters or ch._push_waiters:
-                    return False
-            for ch, _w, _lat in p.writes:
-                if ch._pop_waiters or ch._push_waiters:
-                    return False
-                # A pending channel fault would be bypassed by the
-                # window's block transfers; event-step until it fires.
-                if inj is not None and inj.pending(ch):
-                    return False
-        # Replay assumes full DRAM grants; an active throttle window
-        # invalidates that, so its cycles are always event-stepped.
-        if inj is not None and inj.throttle_active(self.now):
-            return False
-        return True
+        # A throttle window changes the grants mid-period; its cycles are
+        # always event-stepped.
+        return inj is None or not inj.throttle_active(self.now)
 
     def _fingerprint(self):
-        """Relative channel state + runnable set, invariant under a
-        time shift iff the system is period-1 periodic."""
+        """Relative system state, invariant under a time shift when the
+        system is periodic: per channel its FIFO occupancy and the size
+        and first/last offset of its staged values, and per kernel its
+        queued flag, blocked op and pattern residue.  The full staged
+        offsets are compared only when fingerprints match (they are
+        long under deep pipelines; see :meth:`_anchor`)."""
         t = self.now
+        chans = []
+        for ch in self.channels:
+            st = ch._staged
+            chans.append((len(ch._fifo), len(st), st[0][0] - t,
+                          st[-1][0] - t) if st else len(ch._fifo))
+        kernels = []
+        for k in self.kernels:
+            if k.done:
+                kernels.append(None)
+                continue
+            b = k.blocked
+            p = k.pattern
+            if b is not None:
+                b = (b.kind, b.channel, b.op.count if b.kind == "pop"
+                     else len(b.op.values))
+            kernels.append((k._queued_for == t, b,
+                            p.residue() if p is not None else 0))
+        return tuple(chans), tuple(kernels)
+
+    def _anchor(self):
+        """What a replay measures its period against: the cycle, every
+        counter, each channel's push/pop totals and staged ready cycles,
+        each blocked kernel's uncharged stall lag and the next injected
+        memory event."""
+        t = self.now
+        inj = self.engine._injector
         return (
-            tuple((len(ch._fifo), tuple(r - t for r, _v in ch._staged))
-                  for ch in self.channels),
-            tuple((k.index, k.blocked is None, k.sleep_until > t)
-                  for k in self._current),
-        )
+            t,
+            [getattr(o, a) for o, a in self._counters],
+            [(ch.stats.pushes, ch.stats.pops) for ch in self.channels],
+            [tuple(map(_READY, ch._staged)) for ch in self.channels],
+            {k: t - k.blocked.since for k in self.kernels
+             if k.blocked is not None and not k.done},
+            inj.next_memory_event(t) if inj is not None else None)
 
     # -- replay -------------------------------------------------------------
-    def _replay(self, fp) -> bool:
-        plan = self._window_plan()
-        if plan is None:
+    def _replay(self, anchor) -> bool:
+        """Replay whole periods from the current state, whose fingerprint
+        matched ``anchor``'s; False when the window checks fail or no
+        period fits."""
+        t0, counts0, flows0, ready0, lag0, mem0 = anchor
+        eng = self.engine
+        t1 = self.now
+        period = t1 - t0
+        for ch, rs in zip(self.channels, ready0):
+            if any(r - r0 != period
+                   for r0, r in zip(rs, map(_READY, ch._staged))):
+                return False             # staged offsets differ
+        if eng._last_op_cycle < t0:
+            return False                 # nothing moved in the period
+        if mem0 is not None and mem0 < t1:
+            return False                 # a memory fault fell inside it
+        window = [k for k in self.kernels
+                  if not k.done and k._last_stepped >= t0]
+        for k in window:
+            if not _steady(k) or k.stats.start_cycle >= t0:
+                return False
+            # Stall charges are lazy; the period's deltas are exact only
+            # if a kernel blocked at both ends is equally far behind.
+            b = k.blocked
+            if b is not None and lag0.get(k) != t1 - b.since:
+                return False
+        graph = self._window_graph(window)
+        if graph is None:
             return False
-        K, order, producers, consumers = plan
-        expected = {ch: occ
-                    for ch, (occ, _offs) in zip(self.channels, fp[0])}
-        self._execute_window(K, order, producers, expected)
+        order, producers, _consumers = graph
+        members = set(window)
+        inj = eng._injector
+        flows = {}
+        for ch, (pu0, po0) in zip(self.channels, flows0):
+            moved = (ch.stats.pushes - pu0, ch.stats.pops - po0)
+            if ch not in producers:
+                if moved != (0, 0):
+                    return False         # an unproven channel moved
+                continue
+            flows[ch] = moved
+            if not members.issuperset(ch._pop_waiters + ch._push_waiters):
+                return False             # a foreign waiter's wake order
+            if inj is not None and inj.pending(ch):
+                return False             # a channel fault is due
+        iters = {}
+        periods = None
+        for k in order:
+            p = k.pattern
+            ports = ([(w, flows[ch][1]) for ch, w in p.reads]
+                     + [(w, flows[ch][0]) for ch, w, _lat in p.writes])
+            if not ports:
+                return False
+            it = ports[0][1] // ports[0][0]
+            if any(n != it * w for w, n in ports):
+                return False
+            iters[k] = it
+            if it:
+                room = (p.ready() - (k.blocked is not None)) // it
+                periods = room if periods is None else min(periods, room)
+        if periods is None or periods < 1:
+            return False
+        periods = self._horizon(t1, periods * period, producers) // period
+        if periods < 1 or periods * period < self.MIN_WINDOW:
+            return False
+        deltas = []
+        for (obj, attr), c0 in zip(self._counters, counts0):
+            d = getattr(obj, attr) - c0
+            if d:
+                deltas.append((obj, attr, d))
+        self._execute_window(periods, period, order, iters, deltas,
+                             producers, eng._last_op_cycle + periods * period)
         return True
 
-    def _window_plan(self):
-        """Bound and order one superstep from the current state.
+    def _window_graph(self, kernels):
+        """Port maps and replay order of a candidate window.
 
-        Returns ``(K, order, producers, consumers)`` — the window length,
-        the kernels in topological producer -> consumer order, and the
-        per-window-channel ``{channel: (kernel, lanes)}`` port maps — or
-        ``None`` when no window of at least :data:`MIN_WINDOW` cycles is
-        provable from the pattern structure alone.
+        Returns ``(order, producers, consumers)`` — the kernels in
+        topological producer -> consumer order and the per-channel
+        ``{channel: (kernel, lanes)}`` port maps — or ``None`` unless
+        every pattern channel has exactly one producer and one consumer,
+        both inside the window, and the channel graph is acyclic.
         """
-        t1 = self.now
-        kernels = self._current          # sorted by index, all patterned
-        K = min(self.max_cycles - t1,
-                min(k.pattern.ready() for k in kernels))
-        # Port maps; a steady window only supports single-producer /
-        # single-consumer channels with both endpoints inside it and
-        # matching lanes (anything else could not have fingerprinted as
-        # periodic, but bail rather than trust that argument alone).
         producers = {}
         consumers = {}
         for k in kernels:
@@ -179,21 +341,16 @@ class BulkScheduler(WakeListScheduler):
                 if ch in consumers:
                     return None
                 consumers[ch] = (k, w)
-            for ch, w, lat in p.writes:
+            for ch, w, _lat in p.writes:
                 if ch in producers:
                     return None
                 producers[ch] = (k, w)
-        if set(producers) != set(consumers):
+        if producers.keys() != consumers.keys():
             return None
-        for ch, (_k, w) in producers.items():
-            if consumers[ch][1] != w:
-                return None
-        window_chans = producers        # == consumers keyset
         # Topological producer -> consumer order (Kahn, index-ordered).
         indeg = {k: 0 for k in kernels}
         adj = {k: [] for k in kernels}
-        for ch in window_chans:
-            pk = producers[ch][0]
+        for ch, (pk, _w) in producers.items():
             ck = consumers[ch][0]
             if pk is ck:
                 return None
@@ -214,78 +371,79 @@ class BulkScheduler(WakeListScheduler):
                 frontier.sort(key=_KIDX)
         if len(order) != len(kernels):
             return None                  # cyclic pattern graph
-        # Clamp to the earliest viable foreign event: nothing may fire
-        # inside the window except the window's own maturations.
+        return order, producers, consumers
+
+    def _horizon(self, t1: int, span: int, window_chans) -> int:
+        """Clamp a window of ``span`` cycles from ``t1`` so that nothing
+        but the window's own maturations fires inside it: no viable
+        foreign heap event, injected memory fault or ``max_cycles``."""
+        span = min(span, self.max_cycles - t1)
         for tev, _seq, tag, obj in self._heap:
-            if tev >= t1 + K:
+            if tev >= t1 + span:
                 continue
             if tag == _MATURE:
                 if obj._mature_at == tev and obj not in window_chans:
-                    K = min(K, tev - t1)
+                    span = tev - t1
             elif obj._queued_for == tev and not obj.done:
-                K = min(K, tev - t1)
-        # Clamp away from injected memory faults: the fault cycle itself
-        # must be an *executed* cycle (begin_cycle applies due faults),
-        # exactly as the other cores see it.
+                span = tev - t1
+        # The fault cycle itself must be an *executed* cycle
+        # (begin_cycle applies due faults), exactly as the other cores
+        # see it.
         inj = self.engine._injector
         if inj is not None:
             nxt = inj.next_memory_event(t1)
-            if nxt is not None and nxt < t1 + K:
-                K = nxt - t1
-        if K < self.MIN_WINDOW:
-            return None
-        return K, order, producers, consumers
+            if nxt is not None and nxt < t1 + span:
+                span = nxt - t1
+        return max(span, 0)
 
-    def _execute_window(self, K, order, window_chans, expected) -> None:
-        """Execute one K-cycle superstep (no bail-outs).
+    def _execute_window(self, periods, period, order, iters, deltas,
+                        window_chans, last_op) -> None:
+        """Execute ``periods`` periods of ``period`` cycles (no bail-outs).
 
-        ``expected`` maps each window channel to the FIFO occupancy it
-        must return to after the window (the periodicity invariant).
+        ``iters`` maps each kernel to its iterations per period,
+        ``deltas`` lists ``(object, counter, per-period delta)``, every
+        channel of ``window_chans`` returns to its current occupancy and
+        staged offsets, and ``last_op`` is the last cycle the window
+        moves a value.
         """
         t1 = self.now
-        touched_banks = set()
+        span = periods * period
+        t_end = t1 + span
+        targets = [(ch, len(ch._fifo), [r - t1 for r, _v in ch._staged])
+                   for ch in window_chans]
         for k in order:
+            m = periods * iters[k]
+            if not m:
+                continue
             p = k.pattern
-            ins = [ch.pop_block(K * w, p.dtype) for ch, w in p.reads]
-            outs = p.block(K, ins)
-            for (ch, w, lat), arr in zip(p.writes, outs):
-                eff = lat if lat is not None else k.latency
-                ch.push_block(arr, w, t1 + eff)
-            k.stats.active_cycles += K
-            k._queued_for = t1 + K
-            k._last_stepped = t1 + K - 1
-            k._last_progress = True
-            for d in p.dram:
-                nbytes = K * d.elements * d.buf.itemsize
-                if d.buf.bank is not None:
-                    bs = d.mem.bank_stats[d.buf.bank]
-                    if d.kind == "read":
-                        bs.bytes_read += nbytes
-                    else:
-                        bs.bytes_written += nbytes
-                    # A bank is busy once per cycle no matter how many
-                    # kernels hit it — mirror DramModel._busy_mark.
-                    touched_banks.add((id(d.mem), d.mem, d.buf.bank))
-        for _mid, mem, bank in touched_banks:
-            mem.bank_stats[bank].busy_cycles += K
-        last = t1 + K - 1
-        for ch in window_chans:
-            ch.end_window(last)
-            if len(ch._fifo) != expected[ch]:
+            ins = [ch.pop_block(m * w, p.dtype) for ch, w in p.reads]
+            outs = p.block(m, ins)
+            for (ch, _w, _lat), arr in zip(p.writes, outs):
+                ch.push_block(arr)
+        for obj, attr, d in deltas:
+            setattr(obj, attr, getattr(obj, attr) + periods * d)
+        for ch, occ, offs in targets:
+            if not ch.end_window(occ, offs, t_end):
                 raise SimulationError(
                     f"bulk window invariant violated on channel "
-                    f"{ch.name!r}: occupancy {len(ch._fifo)} after a "
-                    f"{K}-cycle superstep, expected {expected[ch]}")
+                    f"{ch.name!r}: a {span}-cycle superstep did not leave "
+                    f"the {occ + len(offs)} values its start state holds")
             ch._mature_at = None
             if ch._staged and len(ch._fifo) < ch.depth:
                 nm = ch._staged[0][0]
-                self._schedule_mature(ch, nm if nm > t1 + K else t1 + K)
-        self.now = self.engine.now = t1 + K
-        # Every steady cycle moved data; the watchdog deadline advances
-        # exactly as K event-stepped cycles would have advanced it.
-        self.engine._last_op_cycle = t1 + K - 1
+                self._schedule_mature(ch, nm if nm > t_end else t_end)
+        for k in order:
+            if k._queued_for is not None:
+                k._queued_for += span
+            k._last_stepped += span
+            if k.blocked is not None:
+                k.blocked.since += span
+        self.now = self.engine.now = t_end
+        # The watchdog deadline advances exactly as the replayed cycles
+        # would have advanced it.
+        self.engine._last_op_cycle = last_op
         self.engine._bulk_windows += 1
-        self.engine._bulk_cycles += K
+        self.engine._bulk_cycles += span
 
 
 class CertifiedScheduler(BulkScheduler):
@@ -293,32 +451,32 @@ class CertifiedScheduler(BulkScheduler):
     (``Engine(mode="certified")``).
 
     The bulk tier *discovers* periodicity at runtime: capture a
-    fingerprint, execute one real probe cycle, compare, back off on
+    fingerprint, execute real probe cycles, compare, back off on
     mismatch.  When the design holds a :class:`repro.analysis.schedule.
     StaticSchedule` certificate (every kernel carries an executable
     ``StaticPattern``, the SDF balance equations are consistent, token
     totals conserve, channel depths meet the inferred minima and the
     steady DRAM demand fits every bank's budget), speculation is
-    unnecessary: whether the current state ``S`` is inside a steady
-    window is *decidable in O(channels)* by checking that one simulated
-    event cycle maps ``S`` to itself — :meth:`_aligned` evaluates that
-    fixed-point condition arithmetically, per channel, without running
-    the cycle.
+    unnecessary: whether the current state ``S`` is inside a period-1
+    steady window is *decidable in O(channels)* by checking that one
+    simulated event cycle maps ``S`` to itself — :meth:`_aligned`
+    evaluates that fixed-point condition arithmetically, per channel,
+    without running the cycle.
 
     When the check passes, the window executes immediately through the
-    inherited :meth:`_execute_window` machinery; when it fails (fill or
-    drain phases, tile epilogues), the engine event-steps exactly one
-    cycle and tries again.  No fingerprint probes, no cooldown backoff:
-    ``engine._bulk_probes == engine._bulk_cooldowns == 0`` for a whole
-    certified run, which the acceptance tests assert.
+    inherited :meth:`_execute_window` machinery (P = 1, one iteration
+    per kernel per cycle, counters derived from the patterns); when it
+    fails (fill or drain phases, tile epilogues), the engine event-steps
+    exactly one cycle and tries again.  No fingerprint probes, no
+    cooldown backoff: ``engine._bulk_probes == engine._bulk_cooldowns ==
+    0`` for a whole certified run, which the acceptance tests assert.
     """
 
     def _run_cycle(self) -> None:
         eng = self.engine
         t = self.now
         # The superstep path must replicate the livelock watchdog the
-        # event core checks before stepping anything (the bulk tier gets
-        # it for free from its probe cycle; there is no probe here).
+        # event core checks before stepping anything.
         w = eng._watch_window
         if w and t >= eng._last_op_cycle + w and not any(
                 not k.done and k.sleep_until >= t for k in self.kernels):
@@ -326,12 +484,16 @@ class CertifiedScheduler(BulkScheduler):
         if self._observers or not self._precheck():
             WakeListScheduler._run_cycle(self)
             return
-        plan = self._window_plan()
-        if plan is None:
+        kernels = self._current          # sorted by index, all patterned
+        graph = self._window_graph(kernels)
+        if graph is None:
             WakeListScheduler._run_cycle(self)
             return
-        K, order, producers, consumers = plan
-        pre = self._aligned(producers, consumers)
+        order, producers, consumers = graph
+        K = self._horizon(t, min(k.pattern.ready() for k in kernels),
+                          producers)
+        pre = (self._aligned(producers, consumers)
+               if K >= self.MIN_WINDOW else None)
         if pre is None:
             WakeListScheduler._run_cycle(self)
             return
@@ -341,11 +503,55 @@ class CertifiedScheduler(BulkScheduler):
         for ch, peak in pre.items():
             if peak > ch.stats.max_occupancy:
                 ch.stats.max_occupancy = peak
+        # One iteration per kernel per cycle, with full DRAM bursts.
+        deltas = []
+        banks = {}
+        for k in order:
+            deltas.append((k.stats, "active_cycles", 1))
+            for d in k.pattern.dram:
+                if d.buf.bank is not None:
+                    bs = d.mem.bank_stats[d.buf.bank]
+                    deltas.append((bs, "bytes_read" if d.kind == "read"
+                                   else "bytes_written",
+                                   d.elements * d.buf.itemsize))
+                    # A bank is busy once per cycle no matter how many
+                    # kernels hit it — mirror DramModel._busy_mark.
+                    banks[id(bs)] = bs
+        deltas.extend((bs, "busy_cycles", 1) for bs in banks.values())
         # The fixed-point check proves every simulated cycle returns the
-        # channel to its current occupancy — that *is* the invariant the
-        # window must restore.
-        expected = {ch: len(ch._fifo) for ch in producers}
-        self._execute_window(K, order, producers, expected)
+        # channel to its current state — the state the window restores.
+        self._execute_window(K, 1, order, dict.fromkeys(order, 1), deltas,
+                             producers, t + K - 1)
+        for k in order:
+            k._last_stepped = t + K - 1
+            k._last_progress = True
+
+    def _precheck(self) -> bool:
+        cur = self._current
+        if not cur:
+            return False
+        for k in cur:
+            p = k.pattern
+            if (p is None or p._ready is None or p.ii != 1
+                    or k.blocked is not None or p.residue()
+                    or p.ready() < self.MIN_WINDOW):
+                return False
+        inj = self.engine._injector
+        for k in cur:
+            p = k.pattern
+            for ch, _w in p.reads:
+                if ch._pop_waiters or ch._push_waiters:
+                    return False
+            for ch, _w, _lat in p.writes:
+                if ch._pop_waiters or ch._push_waiters:
+                    return False
+                # A pending channel fault would be bypassed by the
+                # window's block transfers; event-step until it fires.
+                if inj is not None and inj.pending(ch):
+                    return False
+        # Replay assumes full DRAM grants; an active throttle window
+        # invalidates that, so its cycles are always event-stepped.
+        return inj is None or not inj.throttle_active(self.now)
 
     def _aligned(self, producers, consumers):
         """Decide ``F(S) == S``: one event cycle maps this state to
@@ -368,7 +574,9 @@ class CertifiedScheduler(BulkScheduler):
         t = self.now
         pre = {}
         for ch, (pk, w) in producers.items():
-            ck, _w = consumers[ch]
+            ck, cw = consumers[ch]
+            if cw != w:
+                return None
             lat = next(lt for c, _l, lt in pk.pattern.writes if c is ch)
             eff = lat if lat is not None else pk.latency
             occ = len(ch._fifo)

@@ -81,9 +81,8 @@ class Channel:
         self._push_waiters: list = []
         # Cycle of the currently scheduled maturation event, for dedup.
         self._mature_at = None
-        # Block runs staged by push_block during a bulk window: entries
-        # [first_ready, lanes, array, consumed_offset].  Always empty
-        # outside a BulkScheduler replay window.
+        # Block runs appended by push_block during a bulk window: entries
+        # [array, consumed_offset].  Always empty outside a replay window.
         self._runs: list = []
         # Fault-injection hook (repro.faults.FaultInjector) intercepting
         # pushes; None outside an injected run, making push() fault-free.
@@ -174,24 +173,18 @@ class Channel:
     # -- block transfers (bulk steady-state windows) ------------------------
     #
     # During a replay window the BulkScheduler owns the channel: values
-    # move as ndarrays in ring-buffer *runs* instead of per-element
-    # (ready, value) tuples, and no capacity checks or events fire —
-    # the scheduler has already proven the window is steady (every cycle
-    # repeats the probe cycle exactly), so space and availability hold
+    # move as ndarray *runs* instead of per-element (ready, value)
+    # tuples, and no capacity checks or events fire — the scheduler has
+    # already proven the window periodic, so space and availability hold
     # by construction.  ``occupancy``/``space`` do not count run values;
     # nothing but the scheduler reads them mid-window, and
     # :meth:`end_window` restores exact cycle-level storage before any
     # other code runs.
 
-    def push_block(self, values, lanes: int, first_ready: int) -> None:
-        """Stage ``K * lanes`` values pushed over K consecutive cycles.
-
-        Group ``j`` of ``lanes`` values becomes visible at
-        ``first_ready + j`` — the same ready ramp K individual pushes at
-        cycles ``t .. t+K-1`` with a fixed latency would have produced.
-        """
+    def push_block(self, values) -> None:
+        """Append values pushed over a window, in push order."""
         arr = values if isinstance(values, np.ndarray) else np.asarray(values)
-        self._runs.append([first_ready, lanes, arr, 0])
+        self._runs.append([arr, 0])
         self.stats.pushes += len(arr)
 
     def pop_block(self, count: int, dtype=None) -> np.ndarray:
@@ -231,47 +224,40 @@ class Channel:
                     f"pop_block of {count} from channel {self.name!r} "
                     f"exceeds the window's supply by {need}")
             run = runs[0]
-            arr, off = run[2], run[3]
+            arr, off = run
             take = min(need, len(arr) - off)
-            part = arr[off:off + take]
-            if dtype is not None:
-                part = part.astype(dtype, copy=False)
-            parts.append(part)
-            run[3] = off + take
+            parts.append(arr[off:off + take])
+            run[1] = off + take
             need -= take
-            if run[3] == len(arr):
+            if run[1] == len(arr):
                 runs.pop(0)
         self.stats.pops += count
-        if len(parts) == 1:
-            out = parts[0]
-            return out.astype(dtype, copy=False) if dtype is not None else out
-        out = np.concatenate(parts)
+        out = parts[0] if len(parts) == 1 else np.concatenate(parts)
         return out.astype(dtype, copy=False) if dtype is not None else out
 
-    def end_window(self, cycle: int) -> None:
-        """Fold leftover run values back into cycle-exact storage.
+    def end_window(self, occupancy: int, offsets, cycle: int) -> bool:
+        """Rebuild cycle-exact storage after a window.
 
-        Values due by ``cycle`` (the window's last executed cycle) enter
-        the FIFO as maturation would have — in ready order, capped at
-        ``depth`` — and the rest become ordinary staged tuples, so the
-        channel leaves the window indistinguishable from one stepped
-        cycle by cycle.
+        The channel holds the last ``occupancy + len(offsets)`` values of
+        its stream: the first ``occupancy`` become the visible FIFO, the
+        rest staged values ready at ``cycle + offsets[i]`` — the state
+        the window started from, shifted to ``cycle``.  Returns False
+        when the stream left a different number of values: the window
+        was not periodic and the channel's contents are lost.
         """
-        fifo, staged = self._fifo, self._staged
-        while (staged and staged[0][0] <= cycle
-               and len(fifo) < self.depth):
-            fifo.append(staged.popleft()[1])
-        for first_ready, lanes, arr, off in self._runs:
-            m = len(arr)
-            j = off
-            while (j < m and first_ready + j // lanes <= cycle
-                   and len(fifo) < self.depth and not staged):
-                fifo.append(arr[j])
-                j += 1
-            if j < m:
-                staged.extend((first_ready + jj // lanes, arr[jj])
-                              for jj in range(j, m))
+        vals = list(self._fifo)
+        vals.extend(v for _r, v in self._staged)
+        for arr, off in self._runs:
+            vals.extend(arr[off:])
         self._runs.clear()
+        if len(vals) != occupancy + len(offsets):
+            return False
+        self._fifo.clear()
+        self._fifo.extend(vals[:occupancy])
+        self._staged.clear()
+        self._staged.extend(zip((cycle + o for o in offsets),
+                                vals[occupancy:]))
+        return True
 
     # -- simulation hooks ---------------------------------------------------
     def mature(self, cycle: int) -> int:

@@ -426,21 +426,53 @@ class Engine:
                 "cooldowns": self._bulk_cooldowns}
 
     # -- execution ----------------------------------------------------------
+    #: Headroom of :meth:`cycle_budget` over the declared work: stalls,
+    #: fill/drain and contended DRAM grants stretch a progressing run
+    #: beyond the work's own cycle count.
+    WORK_SLACK = 4
+
     def cycle_budget(self) -> int:
         """Default ``max_cycles``: finite, derived from the declared work.
 
-        Channel depths, kernel latencies, reorder windows (``defer``) and
-        initiation intervals bound how long a *progressing* design can
-        plausibly run; the budget scales with their sum, floored high
-        enough that every known workload finishes with orders of
-        magnitude to spare.  Runs that exhaust it raise
-        :class:`LivelockError` (``trigger="timeout"``) instead of hanging
-        the process — the unbounded-run hazard fix.
+        Two bounds, the larger wins.  Channel depths, kernel latencies,
+        reorder windows (``defer``) and initiation intervals bound how
+        long a small *progressing* design can plausibly run; that budget
+        scales with their sum, floored at 2M cycles.  Long streams are
+        bounded by their work instead: :meth:`_declared_work` times
+        :data:`WORK_SLACK`.  Runs that exhaust the budget raise
+        :class:`LivelockError` (``trigger="timeout"``) instead of
+        hanging the process — the unbounded-run hazard fix — while a
+        legitimate paper-size run (a W=16 DOT over 1e8 elements needs
+        about 7.7M cycles) finishes inside it.
         """
         work = sum(ch.depth for ch in self.channels.values())
         work += sum(k.latency + k.defer + k.ii
                     for k in self.kernels.values())
-        return max(2_000_000, 2_000 * max(1, work))
+        return max(2_000_000, 2_000 * max(1, work),
+                   self.WORK_SLACK * self._declared_work())
+
+    def _declared_work(self) -> int:
+        """Cycles of work the kernels' patterns declare, summed.
+
+        Per patterned kernel: the iterations its largest declared token
+        total needs over that port's lanes, times its ii, plus the
+        cycles its DRAM bursts need at one bank's ``bytes_per_cycle``.
+        Ports without a declared total contribute nothing.
+        """
+        cycles = 0
+        for k in self.kernels.values():
+            p = k.pattern
+            if p is None:
+                continue
+            ports = ([(w, n) for (_c, w), n in zip(p.reads, p.read_totals)]
+                     + [(w, n) for (_c, w, _l), n
+                        in zip(p.writes, p.write_totals)])
+            iters = max((-(-n // w) for w, n in ports if n), default=0)
+            cycles += iters * p.ii
+            for d in p.dram:
+                nbytes = iters * d.elements * d.buf.itemsize
+                cycles += -(-nbytes // d.mem.bytes_per_cycle)
+        return cycles
 
     def livelock_budget(self) -> int:
         """Default progress window for the livelock watchdog.

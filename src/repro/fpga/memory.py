@@ -471,13 +471,15 @@ def _read_kernel_linear(mem: DramModel, buf: DramBuffer, ch, width, repeat):
             st.plen = 0
 
     def ready():
-        # A partial grant leaves residue in the burst register; the next
-        # cycles are then not statically full-width — fall back.
-        if st.plen:
-            return 0
-        return (n_el - st.base) // width
+        # Whole bursts still to fetch beyond the burst register.
+        return (n_el - st.base - st.plen) // width
+
+    def residue():
+        return st.plen
 
     def block(k, _ins):
+        # k bursts leave the buffer in stream order from the oldest
+        # pending element; the burst register keeps its residue.
         base = st.base
         moved = k * width
         st.base = base + moved
@@ -486,7 +488,7 @@ def _read_kernel_linear(mem: DramModel, buf: DramBuffer, ch, width, repeat):
 
     pat = StaticPattern(
         writes=((ch, width, 1),), ii=1, ready=ready, block=block,
-        dram=(DramTraffic(mem, buf, width, "read"),),
+        residue=residue, dram=(DramTraffic(mem, buf, width, "read"),),
         write_totals=(n_el * repeat,))
     return PatternedGenerator(gen(), pat)
 
@@ -575,23 +577,27 @@ def _write_kernel_linear(mem: DramModel, buf: DramBuffer, ch, count, width):
             granted = mem.request_write(
                 buf, len(pending) * itemsize) // itemsize
             if granted > 0:
-                for j, v in enumerate(pending[:granted]):
-                    flat[st.pos + j] = v
+                flat[st.pos:st.pos + granted] = pending[:granted]
                 buf.elements_written += granted
                 st.pos += granted
                 del pending[:granted]
             yield Clock()
 
     def ready():
-        if pending:
-            return 0
         return (count - st.received) // width
 
+    def residue():
+        return len(pending)
+
     def block(k, ins):
+        # The stream to store is the old pending values, then the k
+        # bursts popped; the last len(pending) of it stay pending.
         moved = k * width
         arr = ins[0]
-        for j in range(moved):
-            flat[st.pos + j] = arr[j]
+        if pending:
+            arr = np.concatenate((np.asarray(pending), arr))
+            pending[:] = list(arr[moved:])
+        flat[st.pos:st.pos + moved] = arr[:moved]
         buf.elements_written += moved
         st.received += moved
         st.pos += moved
@@ -599,6 +605,6 @@ def _write_kernel_linear(mem: DramModel, buf: DramBuffer, ch, count, width):
 
     pat = StaticPattern(
         reads=((ch, width),), ii=1, ready=ready, block=block,
-        dram=(DramTraffic(mem, buf, width, "write"),),
+        residue=residue, dram=(DramTraffic(mem, buf, width, "write"),),
         read_totals=(count,))
     return PatternedGenerator(gen(), pat)

@@ -22,7 +22,20 @@ The contract a pattern-carrying generator must honour:
   iterations would have produced;
 * after ``block(k, ...)``, resuming the generator continues from
   iteration boundary ``+k`` — i.e. the generator reads its loop state
-  from the same shared cursor ``block`` mutates.
+  from the same shared cursor ``block`` mutates.  That holds also for a
+  generator suspended on its iteration's first ``Pop``: the pop count
+  may be computed before it, anything else derived from the cursor
+  (a segment index, a per-segment scalar) is read after the pops.
+
+DRAM interface kernels bend the per-cycle half of that contract: under
+a partial bandwidth grant a burst moves fewer than ``lanes`` elements
+and the rest waits in the kernel's burst register.  That carried-over
+state is the kernel's :meth:`StaticPattern.residue`.  Such a kernel
+still keeps the contract *per period*: over a stretch of cycles that
+starts and ends with the same residue, it moves a whole number of
+``lanes``-wide iterations per port, ``block(k, ...)`` replays ``k`` of
+them with the residue held fixed, and ``ready()`` counts the whole
+iterations left beyond the residue.
 
 Kernels whose steady loop is not statically regular (tiled level-2
 module generators, the reordering routers) use
@@ -42,9 +55,8 @@ class DramTraffic:
     """Per-iteration DRAM traffic of a patterned memory kernel.
 
     ``kind`` is ``"read"`` or ``"write"``; ``elements`` is the number of
-    buffer elements moved per iteration (always a full burst in steady
-    state — a partially granted burst leaves residue in the kernel's
-    pending list, which drives ``ready()`` to 0 and forces fallback).
+    buffer elements moved per iteration (a full burst; a partially
+    granted burst leaves the rest as the kernel's ``residue()``).
     """
 
     __slots__ = ("mem", "buf", "elements", "kind")
@@ -84,6 +96,11 @@ class StaticPattern:
     block:
         ``block(k, ins) -> [out_arrays]`` — the vectorized interpreter
         for ``k`` iterations (see the module docstring contract).
+    residue:
+        Zero-argument callable returning the size of the partial-burst
+        state the kernel carries between cycles (granted-but-unsent
+        elements of a DRAM reader, popped-but-unwritten elements of a
+        writer).  ``None`` means the kernel never carries any.
     dram:
         Optional sequence of :class:`DramTraffic` descriptors for memory
         kernels, so bank counters can be advanced arithmetically.
@@ -104,7 +121,7 @@ class StaticPattern:
 
     __slots__ = ("reads", "writes", "ii", "dtype", "dram",
                  "read_totals", "write_totals", "defer",
-                 "_ready", "_block")
+                 "_ready", "_block", "_residue")
 
     def __init__(self, reads: Sequence[Tuple] = (),
                  writes: Sequence[Tuple] = (), ii: int = 1,
@@ -113,7 +130,8 @@ class StaticPattern:
                  dram: Sequence[DramTraffic] = (),
                  read_totals: Optional[Sequence[Optional[int]]] = None,
                  write_totals: Optional[Sequence[Optional[int]]] = None,
-                 defer: int = 0):
+                 defer: int = 0,
+                 residue: Optional[Callable[[], int]] = None):
         self.reads = tuple(reads)
         self.writes = tuple(writes)
         self.ii = ii
@@ -130,6 +148,7 @@ class StaticPattern:
         self.defer = defer
         self._ready = ready
         self._block = block
+        self._residue = residue
 
     @classmethod
     def declare(cls, reads: Sequence[Tuple] = (),
@@ -145,10 +164,17 @@ class StaticPattern:
                    defer=defer)
 
     def ready(self) -> int:
-        """Full steady iterations executable from the current state."""
+        """Full steady iterations executable from the current state
+        (beyond any :meth:`residue` the kernel carries)."""
         if self._ready is None:
             return 0
         return self._ready()
+
+    def residue(self) -> int:
+        """Partial-burst elements carried into the next cycle."""
+        if self._residue is None:
+            return 0
+        return self._residue()
 
     def block(self, k: int, ins: List) -> List:
         """Advance ``k`` iterations; return one output array per write."""

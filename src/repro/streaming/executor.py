@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
+import networkx as nx
 import numpy as np
 
 from ..fpga.engine import Engine, SimReport
@@ -356,8 +357,11 @@ def _run_component(mdag: BoundMDAG, mem: DramModel, plan: CompositionPlan,
             else:
                 in_chans[v][data["dst_port"]] = ch
 
-        # Instantiate node kernels.
-        for node in component:
+        # Instantiate node kernels in topological order, ties broken by
+        # name: the step order (and with it every cycle count) must not
+        # depend on the container the component arrives in.
+        for node in nx.lexicographical_topological_sort(
+                mdag.graph.subgraph(component)):
             kind = mdag.kind(node)
             binding = mdag.bindings.get(node)
             if kind == "compute":

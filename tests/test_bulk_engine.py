@@ -17,7 +17,7 @@ from repro.blas import level1
 from repro.blas.routines import info as routine_info
 from repro.fpga.channel import Channel, ChannelError
 from repro.fpga.engine import Engine
-from repro.fpga.memory import read_kernel, write_kernel
+from repro.fpga.memory import DramModel, read_kernel, write_kernel
 from repro.fpga.pattern import DramTraffic, PatternedGenerator, StaticPattern
 from repro.host import FblasContext
 from repro.models import dse
@@ -32,7 +32,7 @@ from repro.telemetry.cli import main as telemetry_main
 class TestBlockTransfers:
     def test_push_block_pop_block_roundtrip(self):
         ch = Channel("c", depth=8)
-        ch.push_block(np.arange(12, dtype=np.float32), lanes=4, first_ready=10)
+        ch.push_block(np.arange(12, dtype=np.float32))
         out = ch.pop_block(12)
         assert out.dtype == np.float32
         assert list(out) == list(range(12))
@@ -44,45 +44,51 @@ class TestBlockTransfers:
         ch.push([1.0, 2.0], ready_cycle=0)
         ch.mature(0)                          # 1, 2 visible
         ch.push([3.0], ready_cycle=99)        # staged
-        ch.push_block([4.0, 5.0], lanes=1, first_ready=100)
+        ch.push_block([4.0, 5.0])
         out = ch.pop_block(5)
         assert list(out) == [1.0, 2.0, 3.0, 4.0, 5.0]
 
     def test_pop_block_overdraw_raises(self):
         ch = Channel("c", depth=8)
-        ch.push_block([1.0, 2.0], lanes=2, first_ready=5)
+        ch.push_block([1.0, 2.0])
         with pytest.raises(ChannelError, match="exceeds the window's supply"):
             ch.pop_block(3)
 
     def test_pop_block_casts_to_dtype(self):
         ch = Channel("c", depth=8)
-        ch.push_block(np.arange(4, dtype=np.float64), lanes=2, first_ready=0)
+        ch.push_block(np.arange(4, dtype=np.float64))
         out = ch.pop_block(4, dtype=np.float32)
         assert out.dtype == np.float32
 
-    def test_end_window_matures_due_values(self):
-        """Values due by the window's last cycle enter the FIFO, capped at
-        depth; the remainder becomes ordinary staged tuples with the same
-        ready ramp per-cycle pushes would have produced."""
+    def test_end_window_rebuilds_shifted_state(self):
+        """The channel keeps the last occupancy + len(offsets) values of
+        its stream: the first ``occupancy`` visible, the rest staged at
+        ``cycle + offset`` — the window's start state, shifted."""
         ch = Channel("c", depth=3)
-        ch.push_block(np.arange(8, dtype=np.float32), lanes=2, first_ready=10)
-        ch.end_window(11)        # groups ready at 10, 11, 12, 13
-        assert ch.occupancy == 3                   # capped at depth
-        assert ch.in_flight == 5
-        assert list(ch._fifo) == [0.0, 1.0, 2.0]
-        # Staged entries keep the exact per-group ready cycles.
-        assert [r for r, _v in ch._staged] == [11, 12, 12, 13, 13]
+        ch.push([0.0], ready_cycle=0)
+        ch.mature(0)
+        ch.push_block(np.arange(1, 8, dtype=np.float32))
+        ch.pop_block(3)                    # 0, 1, 2 leave the stream
+        assert ch.end_window(3, (1, 2), 20)
+        assert list(ch._fifo) == [3.0, 4.0, 5.0]
+        assert [r for r, _v in ch._staged] == [21, 22]
+        assert [v for _r, v in ch._staged] == [6.0, 7.0]
         # Later maturation proceeds exactly as in cycle-stepped mode.
         ch.pop(3)
-        ch.mature(12)
-        assert list(ch._fifo) == [3.0, 4.0, 5.0]
+        ch.mature(21)
+        assert list(ch._fifo) == [6.0]
+
+    def test_end_window_rejects_a_count_mismatch(self):
+        ch = Channel("c", depth=8)
+        ch.push_block([1.0, 2.0, 3.0])
+        assert not ch.end_window(2, (), 5)
 
     def test_end_window_preserves_fifo_before_runs(self):
         ch = Channel("c", depth=8)
         ch.push([7.0], ready_cycle=0)
         ch.mature(0)
-        ch.push_block([8.0, 9.0], lanes=2, first_ready=1)
-        ch.end_window(1)
+        ch.push_block([8.0, 9.0])
+        assert ch.end_window(3, (), 1)
         assert list(ch._fifo) == [7.0, 8.0, 9.0]
         assert ch.drained is False
 
@@ -218,6 +224,69 @@ class TestBulkEngine:
         assert results["dense"] == results["event"] == results["bulk"]
         assert results["bulk"][1] == (np.arange(512, dtype=np.float32)
                                       * np.float32(2.0)).tolist()
+
+
+    def test_consumer_registered_before_producer(self):
+        """AXPYDOT with the kernels in an order a hash-ordered plan
+        component once produced: the dot consumer steps before the
+        reader feeding it.  The fast path must engage and every counter
+        and the result must match the event core."""
+        n, w = 1024, 8
+        rng = np.random.default_rng(3)
+        vecs = {k: rng.standard_normal(n).astype(np.float32)
+                for k in ("w", "v", "u")}
+        results = {}
+        for mode in ("event", "bulk"):
+            mem = DramModel(num_banks=4, bytes_per_cycle=53)
+            bufs = {k: mem.bind(k, a) for k, a in vecs.items()}
+            beta = mem.allocate("beta", 1)
+            eng = Engine(memory=mem, mode=mode)
+            cw, cv, cu = (eng.channel(f"c{k}", 64) for k in "wvu")
+            cz = eng.channel("cz", 64)
+            cres = eng.channel("cres", 4)
+            kernels = {
+                "read_w": read_kernel(mem, bufs["w"], cw, w),
+                "read_v": read_kernel(mem, bufs["v"], cv, w),
+                "read_u": read_kernel(mem, bufs["u"], cu, w),
+                "axpy": level1.axpy_kernel(n, -0.5, cv, cw, cz, w),
+                "dot": level1.dot_kernel(n, cz, cu, cres, w),
+                "write_beta": write_kernel(mem, beta, cres, 1),
+            }
+            for name in ("write_beta", "read_w", "dot", "read_v",
+                         "read_u", "axpy"):
+                eng.add_kernel(name, kernels[name],
+                               latency=8 if name in ("axpy", "dot") else 1)
+            rep = eng.run()
+            results[mode] = (rep.to_dict(), beta.data.tobytes())
+            if mode == "bulk":
+                assert eng.bulk_stats()["windows"] >= 1
+        assert results["event"] == results["bulk"]
+
+
+class TestLongRuns:
+    def test_run_past_two_million_cycles_finishes(self):
+        """A W=16 DOT whose banks grant one element a cycle needs ~2.1M
+        cycles, past the old 2M-cycle watchdog floor; the budget derived
+        from the declared work lets it finish (on the bulk tier, whose
+        period-16 windows make it quick)."""
+        n = 2_100_000
+        mem = DramModel(num_banks=2, bytes_per_cycle=4)
+        bx = mem.bind("x", np.ones(n, dtype=np.float32), bank=0)
+        by = mem.bind("y", np.full(n, 0.5, dtype=np.float32), bank=1)
+        eng = Engine(memory=mem, mode="bulk")
+        cx, cy = eng.channel("cx", 64), eng.channel("cy", 64)
+        cres = eng.channel("cres", 4)
+        out = []
+        eng.add_kernel("read_x", read_kernel(mem, bx, cx, 16))
+        eng.add_kernel("read_y", read_kernel(mem, by, cy, 16))
+        eng.add_kernel("dot", level1.dot_kernel(n, cx, cy, cres, 16),
+                       latency=8)
+        eng.add_kernel("sink", sink_kernel(cres, 1, 1, out))
+        budget = eng.cycle_budget()
+        report = eng.run()
+        assert 2_000_000 < report.cycles < budget
+        assert out == [np.float32(n * 0.5)]
+        assert eng.bulk_stats()["bulk_cycles"] >= 0.99 * report.cycles
 
 
 # ---------------------------------------------------------------------------

@@ -605,3 +605,157 @@ class TestDifferentialPlanIR:
     @given(patterned_fanout_spec)
     def test_ir_certified_fanout_matches_event(self, spec):
         self._check(_build_certified_fanout, spec)
+
+
+# ---------------------------------------------------------------------------
+# Bandwidth-throttled DRAM designs: the period-P fast path.
+# ---------------------------------------------------------------------------
+
+throttled_spec = st.fixed_dictionaries({
+    "op": st.sampled_from(("axpy", "copy", "dot", "asum",
+                           "batched_axpy", "batched_dot")),
+    "n": st.integers(1, 1500),
+    # Back-to-back problems of a batched op (n elements each).
+    "segments": st.integers(1, 4),
+    "width": st.integers(1, 16),
+    # Bytes per bank per cycle, below and above a port's W x 4 demand.
+    "bpc": st.integers(4, 96),
+    "shared_bank": st.booleans(),
+    "depth": st.integers(0, 48),
+    "lat": st.integers(1, 12),
+    "order": st.permutations(range(4)),
+})
+
+
+def _build_throttled(spec):
+    """DRAM read -> map/reduce -> DRAM write, kernels registered in the
+    spec's order.  With ``shared_bank`` a map's writer shares its last
+    reader's bank, and a reduction's two readers share one."""
+    from repro.fpga.memory import DramModel, read_kernel, write_kernel
+
+    n, w, op = spec["n"], spec["width"], spec["op"]
+    segs = spec["segments"] if op.startswith("batched") else 1
+    total = segs * n
+    mem = DramModel(num_banks=3, bytes_per_cycle=spec["bpc"])
+    eng = Engine(memory=mem)
+    depth = w + spec["depth"]
+    x = np.arange(total, dtype=np.float32) % 29 - 14
+    y = np.arange(total, dtype=np.float32) % 11 * 0.5 - 2
+    bx = mem.bind("x", x, bank=0)
+    cx = eng.channel("cx", depth)
+    kernels = [("read_x", read_kernel(mem, bx, cx, w), 1)]
+    if op != "copy" and op != "asum":
+        by = mem.bind("y", y, bank=0 if op.endswith("dot")
+                      and spec["shared_bank"] else 1)
+        cy = eng.channel("cy", depth)
+        kernels.append(("read_y", read_kernel(mem, by, cy, w), 1))
+    if op.endswith(("dot", "asum")):
+        cres = eng.channel("cres", 4)
+        bout = mem.allocate("out", segs, bank=2)
+        compute = {
+            "dot": lambda: level1.dot_kernel(n, cx, cy, cres, w),
+            "asum": lambda: level1.asum_kernel(n, cx, cres, w),
+            "batched_dot": lambda: level1.batched_dot_kernel(
+                segs, n, cx, cy, cres, w),
+        }[op]()
+        kernels.append((op, compute, spec["lat"]))
+        kernels.append(("write", write_kernel(mem, bout, cres, segs), 1))
+    else:
+        co = eng.channel("co", depth)
+        # Shared: the writer draws on its last reader's bank.
+        bout = mem.allocate("out", total, bank=len(kernels) - 1
+                            if spec["shared_bank"] else 2)
+        compute = {
+            "axpy": lambda: level1.axpy_kernel(n, 0.5, cx, cy, co, w),
+            "copy": lambda: level1.copy_kernel(n, cx, co, w),
+            "batched_axpy": lambda: level1.batched_axpy_kernel(
+                segs, n, [0.5 + i for i in range(segs)], cx, cy, co, w),
+        }[op]()
+        kernels.append((op, compute, spec["lat"]))
+        kernels.append(("write", write_kernel(mem, bout, co, total, w), 1))
+    for i in (i for i in spec["order"] if i < len(kernels)):
+        name, body, lat = kernels[i]
+        eng.add_kernel(name, body, latency=lat)
+    return eng, mem, bout
+
+
+def _throttled_outcome(mode, spec):
+    eng, mem, bout = _build_throttled(spec)
+    eng.mode = mode
+    report = eng.run(max_cycles=200_000)
+    banks = [b.to_dict() for b in mem.bank_stats]
+    return report.to_dict(), banks, bout.data.tobytes(), eng.bulk_stats()
+
+
+class TestDifferentialThrottled:
+    """Partial DRAM grants leave burst residue and make the steady state
+    periodic with P > 1; the bulk tier must replay those periods
+    byte-identically to the event core."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(throttled_spec)
+    def test_throttled_designs_identical(self, spec):
+        event = _throttled_outcome("event", spec)
+        bulk = _throttled_outcome("bulk", spec)
+        assert bulk[0] == event[0], f"report diverged for {spec}"
+        assert bulk[1] == event[1], f"bank stats diverged for {spec}"
+        assert bulk[2] == event[2], f"output bytes diverged for {spec}"
+
+    @pytest.mark.parametrize("op", ["batched_dot", "batched_axpy"])
+    def test_window_crosses_batch_segments(self, op):
+        """A window that starts with the kernel waiting on its first pop
+        and ends in a later batch segment: the generator must not hold a
+        segment index from before the window."""
+        spec = {"op": op, "n": 256, "segments": 3, "width": 16, "bpc": 53,
+                "shared_bank": False, "depth": 240, "lat": 4,
+                "order": (0, 1, 2, 3)}
+        event = _throttled_outcome("event", spec)
+        bulk = _throttled_outcome("bulk", spec)
+        assert bulk[:3] == event[:3]
+        assert bulk[3]["windows"] >= 1
+
+    def test_throttled_fast_path_engages(self):
+        """A W=8 AXPY on banks granting 20 B/cycle (5 of 8 lanes) with y
+        and the output on one bank is periodic with P > 1 and must be
+        fast-forwarded, not event-stepped."""
+        spec = {"op": "axpy", "n": 4096, "segments": 1, "width": 8,
+                "bpc": 20, "shared_bank": True, "depth": 8, "lat": 4,
+                "order": (0, 1, 2, 3)}
+        event = _throttled_outcome("event", spec)
+        bulk = _throttled_outcome("bulk", spec)
+        assert bulk[:3] == event[:3]
+        stats = bulk[3]
+        assert stats["windows"] >= 1
+        assert stats["bulk_cycles"] >= 0.9 * bulk[0]["cycles"]
+
+
+class TestPaperThrottledStreams:
+    """The paper's Fig. 10 regime: W=16 f32 ports ask a Stratix 10 bank
+    for 64 B/cycle, it grants 53."""
+
+    N = 196_608
+
+    def test_w16_dot_and_axpy_fast_forward(self):
+        from repro.fpga.device import STRATIX10
+        from repro.host import Fblas
+
+        fb = Fblas(device=STRATIX10, interleaving=False, width=16,
+                   engine_mode="bulk")
+        engines = []
+        make = fb._engine
+
+        def recording_engine():
+            engines.append(make())
+            return engines[-1]
+
+        fb._engine = recording_engine
+        rng = np.random.default_rng(5)
+        hx = rng.standard_normal(self.N).astype(np.float32)
+        hy = rng.standard_normal(self.N).astype(np.float32)
+        x, y = fb.copy_to_device(hx), fb.copy_to_device(hy)
+        fb.dot(x, y)
+        fb.axpy(0.5, x, y)
+        assert len(engines) == 2
+        for eng in engines:
+            stats = eng.bulk_stats()
+            assert stats["bulk_cycles"] >= 0.95 * eng.now, stats

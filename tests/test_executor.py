@@ -1,5 +1,11 @@
 """End-to-end MDAG execution: bind kernels, plan, run, compare."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -94,6 +100,54 @@ class TestAxpydotExecution:
         mem = DramModel()
         with pytest.raises(ExecutionError):
             g.bind("m", ReadBinding(mem.allocate("b", 4), 1))
+
+
+#: Runs the AXPYDOT plan twice on the bulk tier, the second run on the
+#: plan-cache hit path, and prints each run's kernel order and report.
+_AXPYDOT_ORDER_SCRIPT = """
+import json, sys
+import numpy as np
+from test_executor import build_axpydot
+from repro.fpga.memory import DramModel
+from repro.plan import PlanCache
+from repro.streaming import execute_plan
+rng = np.random.default_rng(0)
+w, v, u = (rng.standard_normal(1024).astype(np.float32) for _ in range(3))
+plans, schedules, runs = PlanCache(), PlanCache(), []
+for _ in range(2):
+    mem = DramModel(num_banks=4, bytes_per_cycle=53)
+    g, beta = build_axpydot(mem, w, v, u, 0.5, 1024, 8)
+    res = execute_plan(g, mem, mode="bulk", plan_cache=plans,
+                       schedule_cache=schedules)
+    runs.append([[list(r.kernels) for r in res.reports],
+                 [r.to_dict() for r in res.reports],
+                 beta.data.tobytes().hex()])
+print(json.dumps(runs))
+"""
+
+
+class TestDeterministicKernelOrder:
+    def _run(self, hashseed):
+        here = Path(__file__).resolve().parent
+        src = here.parent / "src"
+        env = dict(os.environ, PYTHONHASHSEED=str(hashseed),
+                   PYTHONPATH=os.pathsep.join((str(src), str(here))))
+        proc = subprocess.run([sys.executable, "-c", _AXPYDOT_ORDER_SCRIPT],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_plan_kernel_order_ignores_hash_seed(self):
+        """Plan components are sets; kernels must still register in
+        topological order (ties by name) on both the compile and the
+        plan-cache hit path, whatever PYTHONHASHSEED orders the sets."""
+        a, b = self._run(0), self._run(3)
+        assert a == b
+        orders = {tuple(map(tuple, run[0])) for run in a}
+        assert orders == {(("read_read_u", "read_read_v", "read_read_w",
+                            "axpy", "dot", "write_write_beta"),)}
+        assert a[0][1] == a[1][1]
 
 
 def build_atax(mem, a, x, tile, width):

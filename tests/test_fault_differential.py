@@ -89,7 +89,13 @@ def _outcome(mode, build, spec, plan, expect=None):
             # No stats here: stall accounting is retro-credited on wake in
             # the event core, so mid-flight aborts leave it incomplete.
             return ("crash", exc.kernel, exc.work_cycle, eng.now)
-        return ("done", report.cycles, out, _stats(eng))
+        return ("done", report.cycles, _bits(out), _stats(eng))
+
+
+def _bits(values) -> bytes:
+    """Payloads as float32 bytes: a corrupted element may be NaN, and
+    identical NaNs must compare equal while any bit difference fails."""
+    return np.asarray(values, dtype=np.float32).tobytes()
 
 
 def _stats(eng):
@@ -174,7 +180,7 @@ class TestMemoryFaultDifferential:
             eng.add_kernel("read", read_kernel(mem, buf, ch, width))
             eng.add_kernel("sink", sink_kernel(ch, n, width, out))
             report = eng.run(max_cycles=200_000)
-            return (report.cycles, out, _stats(eng),
+            return (report.cycles, _bits(out), _stats(eng),
                     [(b.bytes_read, b.denied_cycles, b.ecc_events)
                      for b in mem.bank_stats])
 
