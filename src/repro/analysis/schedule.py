@@ -21,11 +21,13 @@ certificate while a schedule certified on one device is never replayed
 on another.
 
 ``Engine(mode="certified")`` calls :func:`ensure_certified` before
-running and then executes through
-:class:`~repro.fpga.bulk.CertifiedScheduler`, which replays steady
-windows against the certificate with **no** runtime probing,
-fingerprinting, or cooldown fallback — the O(channels) phase-alignment
-check replaces the bulk tier's speculative probe entirely.
+cycle 0 (certify or reject), keeps the schedule and its predicted band
+on ``Engine.schedule``, and then runs the same
+:class:`~repro.fpga.bulk.BulkScheduler` as ``mode="bulk"``.  That
+scheduler's first decider, an O(channels) period-1 fixed-point check,
+needs no certificate; its second, the fingerprint probe, runs only on
+partial DRAM grants, which FB402 rules out for a certified design — so
+a certified run does not probe.
 """
 
 from __future__ import annotations

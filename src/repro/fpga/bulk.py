@@ -1,4 +1,5 @@
-"""Bulk steady-state scheduler (``Engine(mode="bulk")``).
+"""The superstep scheduler (``Engine(mode="bulk")`` and
+``Engine(mode="certified")``).
 
 The event core already skips provably idle cycles, but a pipeline at
 full throughput has none: every kernel executes every cycle, so event
@@ -6,34 +7,40 @@ mode degenerates to the dense loop (the honest ~1x of
 ``BENCH_engine.json`` in the ii=1 regime).  This scheduler adds the
 missing fast path: when the design is in a *periodic steady state*,
 whole periods of P cycles are executed as one arithmetic superstep
-instead of P generator resumes per kernel each.
-
-Periods longer than one cycle are the normal case for the paper's
-bandwidth-bound configurations: a Stratix 10 bank grants 53 B/cycle, a
-16-lane f32 port asks for 64, so the readers deliver 13 elements a
-cycle and the 16-lane consumer stalls 3 cycles in every 16.  No single
-cycle repeats the one before it, but the whole system state returns
-every P = 16 cycles.
+instead of P generator resumes per kernel each.  Certified mode runs
+this same scheduler once the design is certified.
 
 How a window is proven, not guessed
 -----------------------------------
 A superstep must be byte-identical to the cycles it replaces, so the
-fast path only engages on evidence:
+fast path only engages on evidence.  One precondition gates both
+deciders: every kernel queued for this cycle carries an executable
+:class:`~repro.fpga.pattern.StaticPattern` with ``ii == 1``, has
+started, has an iteration ready and sits at an iteration boundary (not
+blocked, or blocked on the first ``Pop`` of an iteration), and no
+injected throttle is active.  Observers disable the fast path outright
+— an instrumented run wants per-cycle callbacks.
 
-1. **Probe precondition** — every kernel queued for this cycle carries
-   an executable :class:`~repro.fpga.pattern.StaticPattern` with
-   ``ii == 1``, has started, and sits at an iteration boundary: not
-   blocked, or blocked on the first ``Pop`` of an iteration.  No
-   patterned kernel may wait anywhere else: one holding popped or
-   computed values in its generator frame could not be replayed.
-   Observers disable the fast path outright — an instrumented run
-   wants per-cycle callbacks, and correctness of metrics/traces then
-   holds trivially because every cycle is real.
-2. **Fingerprint probe** — each probe cycle captures the relative
-   state: per channel its FIFO occupancy and staged-readiness offsets,
-   per kernel its queued flag and blocked op (kind, channel, count),
-   and each pattern's :meth:`~repro.fpga.pattern.StaticPattern.residue`
-   (the partial-burst state a DRAM kernel carries across cycles).  The
+1. **Period 1: the fixed-point check.**  When no queued kernel is
+   blocked or carries burst residue, :meth:`~BulkScheduler._aligned`
+   decides in O(channels), without running a cycle, whether one event
+   cycle maps the channel state to itself; the bank deltas of that
+   cycle come from the memory model's own grant policy
+   (:meth:`~repro.fpga.memory.DramModel.full_burst_deltas`), which
+   refuses when a burst would be cut short.  A fixed point replays at
+   once; otherwise the cycle is event-stepped and checked again next
+   cycle.  No probe cycle is spent, so a tiled kernel's steady state
+   engages once per tile.
+2. **Period P: the fingerprint probe.**  A partial DRAM grant leaves
+   :meth:`~repro.fpga.pattern.StaticPattern.residue` in a burst
+   register, and it is what makes these pipelines periodic with P > 1
+   (a Stratix 10 bank grants 53 B/cycle, a 16-lane f32 port asks for
+   64: the readers deliver 13 elements a cycle and the consumer stalls
+   3 cycles in every 16).  So only when step 1 fails, a queued kernel
+   carries residue and no patterned kernel waits mid-iteration does a
+   probe open.  Each probe cycle captures the relative state: per
+   channel its FIFO occupancy and staged-readiness offsets, per kernel
+   its queued flag, blocked op (kind, channel, count) and residue.  The
    cycles execute **normally**; a fingerprint that repeats one from at
    most :data:`~BulkScheduler.MAX_PERIOD` cycles earlier names a
    candidate period P.  Every counter is then snapshotted and one more
@@ -41,17 +48,15 @@ fast path only engages on evidence:
    offsets compared exactly.  If no candidate confirms within
    ``2 * MAX_PERIOD`` cycles nothing is lost (every probe cycle was
    real), and probing backs off exponentially.  A confirmed period
-   proves the state P-periodic: by induction every following period
-   repeats it exactly — same pops, pushes, stalls, maturations and
-   DRAM grants — until some kernel leaves its steady phase or a
-   foreign event fires.
-3. **Window checks** — the kernels stepped during the confirming
-   period form the window.  Each must satisfy the precondition of step
-   1, its channels must be single-producer/single-consumer inside the
-   window, no other channel may have moved a value, no foreign kernel
-   may wait on a window channel, and each kernel must have moved a
-   whole number ``i`` of ``lanes``-wide iterations on every port (its
-   iterations per period).
+   proves the state P-periodic until some kernel leaves its steady
+   phase or a foreign event fires.
+3. **Window checks** (period P) — the kernels stepped during the
+   confirming period form the window.  Each must satisfy the
+   precondition, its channels must be single-producer/single-consumer
+   inside the window, no other channel may have moved a value, no
+   foreign kernel may wait on a window channel, and each kernel must
+   have moved a whole number ``i`` of ``lanes``-wide iterations on
+   every port (its iterations per period).
 4. **Window bound** — the number of periods k is clamped so that each
    kernel keeps ``k * i`` steady iterations in hand (one more if it
    ends the period blocked, since its pending ``Pop`` already names the
@@ -64,10 +69,10 @@ order.  Each pops ``k * i * lanes`` values per read port through
 :meth:`Channel.pop_block`, lets its pattern's vectorized ``block(k *
 i)`` advance the kernel's shared loop state, and appends its outputs
 with :meth:`Channel.push_block` — ndarray slices, not per-element
-tuples.  Every other counter the confirming period moved (active and
-stall cycles, channel stall counts, bank bytes, busy and denied cycles)
-grows by k times its per-period delta; ``max_occupancy`` cannot exceed
-that period's already-recorded peak.  :meth:`Channel.end_window` then
+tuples.  Every other counter grows by k times its per-period delta
+(measured over the confirming period; at P = 1 one active cycle per
+kernel plus the bank deltas); ``max_occupancy`` cannot exceed the
+period's peak.  :meth:`Channel.end_window` then
 rebuilds each window channel from the period's start occupancy and
 staged offsets, shifted by ``k * P`` cycles, with a count check that
 raises :class:`~repro.fpga.errors.SimulationError` if the window left a
@@ -88,7 +93,7 @@ from operator import itemgetter
 from .errors import SimulationError
 from .scheduler import _KIDX, _MATURE, WakeListScheduler
 
-__all__ = ["BulkScheduler", "CertifiedScheduler"]
+__all__ = ["BulkScheduler"]
 
 #: Counters a window advances arithmetically, per owner.  Channel
 #: pushes/pops are not listed: the block transfers count what they move.
@@ -115,7 +120,8 @@ def _steady(k) -> bool:
 
 
 class BulkScheduler(WakeListScheduler):
-    """Event scheduler plus the periodic steady-state superstep."""
+    """Event scheduler plus the steady-state superstep
+    (``Engine(mode="bulk")`` and ``Engine(mode="certified")``)."""
 
     #: Smallest window worth replaying arithmetically, in cycles.
     MIN_WINDOW = 4
@@ -140,15 +146,14 @@ class BulkScheduler(WakeListScheduler):
         # Introspection for tests/benchmarks/telemetry: number of
         # supersteps and total cycles they fast-forwarded, plus how
         # often the runtime had to speculate (probe) and back off
-        # (cooldown) — a certified run keeps the last two at zero.
-        # Exposed as Engine.bulk_stats() and copied into each
-        # engine-run ledger record by the telemetry session.
+        # (cooldown).  Exposed as Engine.bulk_stats() and copied into
+        # each engine-run ledger record by the telemetry session.
         engine._bulk_windows = 0
         engine._bulk_cycles = 0
         engine._bulk_probes = 0
         engine._bulk_cooldowns = 0
 
-    # -- probe --------------------------------------------------------------
+    # -- deciders -----------------------------------------------------------
     def _run_cycle(self) -> None:
         confirm = self._confirm
         if confirm is not None:
@@ -166,7 +171,8 @@ class BulkScheduler(WakeListScheduler):
             fp = self._fingerprint()
             t0 = self._seen.get(fp)
             if (t0 is not None and self.now - t0 <= self.MAX_PERIOD
-                    and self._can_probe()):
+                    and self._steady_phase() is not None
+                    and self._probe_phase()):
                 # A candidate period: measure the next one against it.
                 self._seen = None
                 self._confirm = (2 * self.now - t0, fp, self._anchor())
@@ -175,12 +181,21 @@ class BulkScheduler(WakeListScheduler):
                 self._back_off()
             else:
                 self._seen[fp] = self.now
-        elif self._cool > 0:
-            self._cool -= 1
-        elif not self._observers and self._can_probe():
-            self._probe_start = self.now
-            self._seen = {self._fingerprint(): self.now}
-            self.engine._bulk_probes += 1
+        else:
+            cool = self._cool
+            if cool:
+                self._cool = cool - 1
+            # Only a partial DRAM grant leaves burst residue, and only a
+            # partial grant makes these pipelines periodic with P > 1:
+            # without residue decider 1 alone can engage.
+            residue = None if self._observers else self._steady_phase()
+            if residue is False:
+                if self._period_one():
+                    return
+            elif residue and not cool and self._probe_phase():
+                self._probe_start = self.now
+                self._seen = {self._fingerprint(): self.now}
+                self.engine._bulk_probes += 1
         super()._run_cycle()
 
     def _back_off(self) -> None:
@@ -188,24 +203,135 @@ class BulkScheduler(WakeListScheduler):
         self._cool = self._cooldown
         self._cooldown = min(self._cooldown * 2, self.MAX_COOLDOWN)
 
-    def _can_probe(self) -> bool:
+    def _steady_phase(self) -> bool | None:
+        """The precondition of both deciders: every queued kernel is
+        :func:`_steady`, started and ready, and no throttle window (it
+        changes the grants mid-window) is active.  None when it fails,
+        else whether a queued kernel carries burst residue."""
         cur = self._current
         if not cur:
-            return False
+            return None
+        residue = False
         for k in cur:
+            p = k.pattern
             if (not _steady(k) or k.stats.start_cycle is None
-                    or k.pattern.ready() < 1):
-                return False
-        # A patterned kernel waiting mid-iteration would join the window
-        # unreplayable; probe from a phase where none does.
+                    or p.ready() < 1):
+                return None
+            if p.residue():
+                residue = True
+        inj = self.engine._injector
+        if inj is not None and inj.throttle_active(self.now):
+            return None
+        return residue
+
+    def _probe_phase(self) -> bool:
+        """No patterned kernel waits mid-iteration: it would join the
+        measured period unreplayable.  (A period-1 window steps only the
+        queued kernels; such a kernel just stays blocked through it.)"""
         for k in self.kernels:
             if (k.blocked is not None and not k.done
                     and k.pattern is not None and not _steady(k)):
                 return False
-        inj = self.engine._injector
-        # A throttle window changes the grants mid-period; its cycles are
-        # always event-stepped.
-        return inj is None or not inj.throttle_active(self.now)
+        return True
+
+    def _period_one(self) -> bool:
+        """Decider 1: replay a period-1 window now if one event cycle
+        provably maps the current state to itself (:meth:`_aligned`),
+        executing no probe cycle; False to fall through."""
+        cur = self._current              # sorted by index, all patterned
+        for k in cur:
+            if k.blocked is not None:
+                return False
+        graph = self._window_graph(cur)
+        if graph is None:
+            return False
+        order, producers, consumers = graph
+        t = self.now
+        span = self._horizon(t, min(k.pattern.ready() for k in cur),
+                             producers)
+        if span < self.MIN_WINDOW:
+            return False
+        peaks = self._aligned(producers, consumers)
+        if peaks is None:
+            return False
+        # One iteration per kernel per cycle; the memory model's grant
+        # policy gives each bank's deltas, or refuses a cut-short burst.
+        deltas = [(k.stats, "active_cycles", 1) for k in order]
+        traffic = [d for k in cur for d in k.pattern.dram]
+        if traffic:
+            mem = self.engine.memory
+            banks = mem.full_burst_deltas(traffic) if mem is not None else None
+            if banks is None:
+                return False
+            deltas += banks
+        # The event core's phase-0 maturation would have recorded the
+        # in-cycle FIFO peak (occupancy + matured batch) on every window
+        # channel; no real cycle runs here, so record it explicitly.
+        for ch, peak in peaks.items():
+            if peak > ch.stats.max_occupancy:
+                ch.stats.max_occupancy = peak
+        # The fixed-point check proves every simulated cycle returns the
+        # channel to its current state, the state the window restores.
+        self._execute_window(span, 1, order, dict.fromkeys(order, 1),
+                             deltas, producers, t + span - 1)
+        for k in order:
+            k._last_stepped = t + span - 1
+            k._last_progress = True
+        return True
+
+    def _aligned(self, producers, consumers):
+        """Decide ``F(S) == S``: one event cycle maps this state to
+        itself.
+
+        For each window channel (producer pushing ``w`` per cycle at
+        effective latency ``eff``, consumer popping ``w``), simulate the
+        cycle arithmetically on ``(fifo occupancy, staged offsets)``:
+        phase-0 maturation moves due staged values into the FIFO (capped
+        at depth), the pop must be feasible, the push must have space
+        under its ``eff * w`` staging headroom, and the resulting state
+        must equal the starting one.  Foreign channels must be inert: a
+        window never touches them, which is only event-faithful while
+        they cannot mature on their own (no staged values, or a full
+        FIFO blocking maturation — the scheduler does not re-arm those).
+
+        Returns ``{channel: in-cycle FIFO peak}`` when aligned, else
+        ``None``.
+        """
+        t = self.now
+        pre = {}
+        for ch, (pk, w) in producers.items():
+            ck, cw = consumers[ch]
+            if cw != w:
+                return None
+            lat = next(lt for c, _l, lt in pk.pattern.writes if c is ch)
+            eff = lat if lat is not None else pk.latency
+            occ = len(ch._fifo)
+            offs = [r - t for r, _v in ch._staged]
+            m = 0
+            while m < len(offs) and offs[m] <= 0 and occ + m < ch.depth:
+                m += 1
+            occ1 = occ + m                   # post-maturation occupancy
+            offs1 = offs[m:]
+            if occ1 < w:                     # pop must succeed this cycle
+                return None
+            # Push feasibility: the consumer frees its batch first only
+            # when it steps first (lower kernel index).
+            fifo_at_push = occ1 - w if ck.index < pk.index else occ1
+            if ch.depth + eff * w - fifo_at_push - len(offs1) < w:
+                return None
+            # Fixed point: occupancy and the staged-offset multiset must
+            # come back exactly (w matured out, w pushed at eff).
+            if occ1 - w != occ:
+                return None
+            if [o - 1 for o in offs1] + [eff - 1] * w != offs:
+                return None
+            pre[ch] = occ1
+        for ch in self.channels:
+            if ch in producers:
+                continue
+            if ch._staged and len(ch._fifo) < ch.depth:
+                return None                  # foreign channel could mature
+        return pre
 
     def _fingerprint(self):
         """Relative system state, invariant under a time shift when the
@@ -281,8 +407,6 @@ class BulkScheduler(WakeListScheduler):
         if graph is None:
             return False
         order, producers, _consumers = graph
-        members = set(window)
-        inj = eng._injector
         flows = {}
         for ch, (pu0, po0) in zip(self.channels, flows0):
             moved = (ch.stats.pushes - pu0, ch.stats.pops - po0)
@@ -291,10 +415,6 @@ class BulkScheduler(WakeListScheduler):
                     return False         # an unproven channel moved
                 continue
             flows[ch] = moved
-            if not members.issuperset(ch._pop_waiters + ch._push_waiters):
-                return False             # a foreign waiter's wake order
-            if inj is not None and inj.pending(ch):
-                return False             # a channel fault is due
         iters = {}
         periods = None
         for k in order:
@@ -331,10 +451,13 @@ class BulkScheduler(WakeListScheduler):
         topological producer -> consumer order and the per-channel
         ``{channel: (kernel, lanes)}`` port maps — or ``None`` unless
         every pattern channel has exactly one producer and one consumer,
-        both inside the window, and the channel graph is acyclic.
+        both inside the window, no foreign kernel waits on it (its wake
+        order would change), no channel fault is due on it (the block
+        transfers would bypass it), and the channel graph is acyclic.
         """
         producers = {}
         consumers = {}
+        inj = self.engine._injector
         for k in kernels:
             p = k.pattern
             for ch, w in p.reads:
@@ -342,8 +465,11 @@ class BulkScheduler(WakeListScheduler):
                     return None
                 consumers[ch] = (k, w)
             for ch, w, _lat in p.writes:
-                if ch in producers:
+                if ch in producers or inj is not None and inj.pending(ch):
                     return None
+                for x in ch._pop_waiters + ch._push_waiters:
+                    if x not in kernels:
+                        return None
                 producers[ch] = (k, w)
         if producers.keys() != consumers.keys():
             return None
@@ -445,164 +571,3 @@ class BulkScheduler(WakeListScheduler):
         self.engine._bulk_windows += 1
         self.engine._bulk_cycles += span
 
-
-class CertifiedScheduler(BulkScheduler):
-    """Superstep execution driven by a certificate, not speculation
-    (``Engine(mode="certified")``).
-
-    The bulk tier *discovers* periodicity at runtime: capture a
-    fingerprint, execute real probe cycles, compare, back off on
-    mismatch.  When the design holds a :class:`repro.analysis.schedule.
-    StaticSchedule` certificate (every kernel carries an executable
-    ``StaticPattern``, the SDF balance equations are consistent, token
-    totals conserve, channel depths meet the inferred minima and the
-    steady DRAM demand fits every bank's budget), speculation is
-    unnecessary: whether the current state ``S`` is inside a period-1
-    steady window is *decidable in O(channels)* by checking that one
-    simulated event cycle maps ``S`` to itself — :meth:`_aligned`
-    evaluates that fixed-point condition arithmetically, per channel,
-    without running the cycle.
-
-    When the check passes, the window executes immediately through the
-    inherited :meth:`_execute_window` machinery (P = 1, one iteration
-    per kernel per cycle, counters derived from the patterns); when it
-    fails (fill or drain phases, tile epilogues), the engine event-steps
-    exactly one cycle and tries again.  No fingerprint probes, no
-    cooldown backoff: ``engine._bulk_probes == engine._bulk_cooldowns ==
-    0`` for a whole certified run, which the acceptance tests assert.
-    """
-
-    def _run_cycle(self) -> None:
-        eng = self.engine
-        t = self.now
-        # The superstep path must replicate the livelock watchdog the
-        # event core checks before stepping anything.
-        w = eng._watch_window
-        if w and t >= eng._last_op_cycle + w and not any(
-                not k.done and k.sleep_until >= t for k in self.kernels):
-            self._raise_hang("livelock", t, budget=w)
-        if self._observers or not self._precheck():
-            WakeListScheduler._run_cycle(self)
-            return
-        kernels = self._current          # sorted by index, all patterned
-        graph = self._window_graph(kernels)
-        if graph is None:
-            WakeListScheduler._run_cycle(self)
-            return
-        order, producers, consumers = graph
-        K = self._horizon(t, min(k.pattern.ready() for k in kernels),
-                          producers)
-        pre = (self._aligned(producers, consumers)
-               if K >= self.MIN_WINDOW else None)
-        if pre is None:
-            WakeListScheduler._run_cycle(self)
-            return
-        # The event core's phase-0 maturation would have recorded the
-        # in-cycle FIFO peak (occupancy + matured batch) on every window
-        # channel; no real cycle runs here, so record it explicitly.
-        for ch, peak in pre.items():
-            if peak > ch.stats.max_occupancy:
-                ch.stats.max_occupancy = peak
-        # One iteration per kernel per cycle, with full DRAM bursts.
-        deltas = []
-        banks = {}
-        for k in order:
-            deltas.append((k.stats, "active_cycles", 1))
-            for d in k.pattern.dram:
-                if d.buf.bank is not None:
-                    bs = d.mem.bank_stats[d.buf.bank]
-                    deltas.append((bs, "bytes_read" if d.kind == "read"
-                                   else "bytes_written",
-                                   d.elements * d.buf.itemsize))
-                    # A bank is busy once per cycle no matter how many
-                    # kernels hit it — mirror DramModel._busy_mark.
-                    banks[id(bs)] = bs
-        deltas.extend((bs, "busy_cycles", 1) for bs in banks.values())
-        # The fixed-point check proves every simulated cycle returns the
-        # channel to its current state — the state the window restores.
-        self._execute_window(K, 1, order, dict.fromkeys(order, 1), deltas,
-                             producers, t + K - 1)
-        for k in order:
-            k._last_stepped = t + K - 1
-            k._last_progress = True
-
-    def _precheck(self) -> bool:
-        cur = self._current
-        if not cur:
-            return False
-        for k in cur:
-            p = k.pattern
-            if (p is None or p._ready is None or p.ii != 1
-                    or k.blocked is not None or p.residue()
-                    or p.ready() < self.MIN_WINDOW):
-                return False
-        inj = self.engine._injector
-        for k in cur:
-            p = k.pattern
-            for ch, _w in p.reads:
-                if ch._pop_waiters or ch._push_waiters:
-                    return False
-            for ch, _w, _lat in p.writes:
-                if ch._pop_waiters or ch._push_waiters:
-                    return False
-                # A pending channel fault would be bypassed by the
-                # window's block transfers; event-step until it fires.
-                if inj is not None and inj.pending(ch):
-                    return False
-        # Replay assumes full DRAM grants; an active throttle window
-        # invalidates that, so its cycles are always event-stepped.
-        return inj is None or not inj.throttle_active(self.now)
-
-    def _aligned(self, producers, consumers):
-        """Decide ``F(S) == S``: one event cycle maps this state to
-        itself.
-
-        For each window channel (producer pushing ``w`` per cycle at
-        effective latency ``eff``, consumer popping ``w``), simulate the
-        cycle arithmetically on ``(fifo occupancy, staged offsets)``:
-        phase-0 maturation moves due staged values into the FIFO (capped
-        at depth), the pop must be feasible, the push must have space
-        under its ``eff * w`` staging headroom, and the resulting state
-        must equal the starting one.  Foreign channels must be inert: a
-        window never touches them, which is only event-faithful while
-        they cannot mature on their own (no staged values, or a full
-        FIFO blocking maturation — the scheduler does not re-arm those).
-
-        Returns ``{channel: in-cycle FIFO peak}`` when aligned, else
-        ``None``.
-        """
-        t = self.now
-        pre = {}
-        for ch, (pk, w) in producers.items():
-            ck, cw = consumers[ch]
-            if cw != w:
-                return None
-            lat = next(lt for c, _l, lt in pk.pattern.writes if c is ch)
-            eff = lat if lat is not None else pk.latency
-            occ = len(ch._fifo)
-            offs = [r - t for r, _v in ch._staged]
-            m = 0
-            while m < len(offs) and offs[m] <= 0 and occ + m < ch.depth:
-                m += 1
-            occ1 = occ + m                   # post-maturation occupancy
-            offs1 = offs[m:]
-            if occ1 < w:                     # pop must succeed this cycle
-                return None
-            # Push feasibility: the consumer frees its batch first only
-            # when it steps first (lower kernel index).
-            fifo_at_push = occ1 - w if ck.index < pk.index else occ1
-            if ch.depth + eff * w - fifo_at_push - len(offs1) < w:
-                return None
-            # Fixed point: occupancy and the staged-offset multiset must
-            # come back exactly (w matured out, w pushed at eff).
-            if occ1 - w != occ:
-                return None
-            if [o - 1 for o in offs1] + [eff - 1] * w != offs:
-                return None
-            pre[ch] = occ1
-        for ch in self.channels:
-            if ch in producers:
-                continue
-            if ch._staged and len(ch._fifo) < ch.depth:
-                return None                  # foreign channel could mature
-        return pre

@@ -39,6 +39,9 @@ Three cores implement these semantics:
     boundary — fall back to exact event stepping, so all reports stay
     byte-identical to the other cores.
 
+``mode="certified"``
+    Certify (or reject) the design before cycle 0, then run as bulk.
+
 Tracing and profiling attach through the observer protocol of
 :mod:`repro.fpga.observers`; ``trace=True`` is shorthand for attaching a
 :class:`~repro.fpga.observers.TraceObserver`.
@@ -284,15 +287,16 @@ class Engine:
         ``"event"`` (default) runs on the wake-list scheduler of
         :mod:`repro.fpga.scheduler`; ``"dense"`` runs the original
         every-kernel-every-cycle reference loop; ``"bulk"`` adds the
-        steady-state superstep fast path of :mod:`repro.fpga.bulk` on
-        top of the event core; ``"certified"`` requires a whole-program
+        superstep scheduler of :mod:`repro.fpga.bulk` (two deciders:
+        a period-1 fixed-point check, then a period-P probe under
+        partial DRAM grants); ``"certified"`` first requires a
         :class:`repro.analysis.schedule.StaticSchedule` certificate
-        (raising :class:`repro.analysis.AnalysisError` with FB4xx
-        diagnostics when none exists) and then replays steady windows
-        with zero runtime probing or cooldown fallback.  All produce
-        identical reports; event mode is faster the more a design stalls
-        or sleeps, bulk/certified mode the longer its pattern-annotated
-        pipelines run at steady state.
+        (else :class:`repro.analysis.AnalysisError`, FB4xx), keeps it
+        and its predicted cycle band as :attr:`schedule`, then runs the
+        same scheduler as ``"bulk"``.  All produce identical reports;
+        event mode is faster the more a design stalls or sleeps,
+        bulk/certified mode the longer its pattern-annotated pipelines
+        run at steady state.
     schedule_cache:
         Optional mutable mapping reused across ``"certified"`` runs:
         structurally identical compositions share one certification
@@ -411,12 +415,13 @@ class Engine:
     def bulk_stats(self) -> Optional[Dict[str, int]]:
         """Superstep counters of the most recent bulk/certified run.
 
-        ``windows`` (supersteps replayed), ``bulk_cycles`` (cycles they
-        fast-forwarded), ``probes`` (speculative fingerprint probes) and
-        ``cooldowns`` (probe back-offs) — the introspection the bulk
-        tier maintains per run (a certified run keeps the last two at
-        zero).  None before any bulk/certified run; the telemetry
-        session copies these into each engine-run ledger record.
+        ``windows`` (supersteps replayed, by either decider),
+        ``bulk_cycles`` (cycles they fast-forwarded), ``probes``
+        (period-P probes, opened only under partial DRAM grants) and
+        ``cooldowns`` (probe back-offs), kept by the one scheduler both
+        modes run (a certified run keeps the last two at zero).  None
+        before any bulk/certified run; the telemetry session copies
+        these into each engine-run ledger record.
         """
         if not hasattr(self, "_bulk_windows"):
             return None
@@ -563,18 +568,18 @@ class Engine:
                 # sibling errors/kernel modules, only needed in event mode.
                 from .scheduler import WakeListScheduler
                 return WakeListScheduler(self, max_cycles).run()
-            if self.mode == "bulk":
+            if self.mode in ("bulk", "certified"):
+                if self.mode == "certified":
+                    # Certify (or fetch the cached certificate for this
+                    # structure) before cycle 0; a design the rate
+                    # analyzer rejects raises AnalysisError with FB4xx
+                    # diagnostics.  The schedule carries the predicted
+                    # cycle band.
+                    from ..analysis.schedule import ensure_certified
+                    self.schedule = ensure_certified(
+                        self, cache=self._schedule_cache)
                 from .bulk import BulkScheduler
                 return BulkScheduler(self, max_cycles).run()
-            if self.mode == "certified":
-                # Certify (or fetch the cached certificate for this
-                # structure) before cycle 0; a design the rate analyzer
-                # rejects raises AnalysisError with FB4xx diagnostics.
-                from ..analysis.schedule import ensure_certified
-                from .bulk import CertifiedScheduler
-                self.schedule = ensure_certified(
-                    self, cache=self._schedule_cache)
-                return CertifiedScheduler(self, max_cycles).run()
             return self._run_dense(max_cycles)
         finally:
             if injector is not None:

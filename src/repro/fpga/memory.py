@@ -283,46 +283,67 @@ class DramModel:
         if self.fault_hook is not None:
             self.fault_hook.on_memory_cycle(self, cycle)
 
-    def _grant(self, buf: DramBuffer, nbytes: int) -> int:
-        self._last_grants = []
+    def _draw(self, buf: DramBuffer, nbytes: int, budget: List[int],
+              pool: int):
+        """The grant policy: draw up to ``nbytes`` for ``buf`` from the
+        per-channel ``budget`` (updated in place) and the pooled budget
+        ``pool``.  Returns ``(granted, pool left, [(channel, bytes)],
+        member channels)``.  A single-channel or striped buffer draws
+        from its members in placement order, depleting the pool too
+        (interleaved traffic shares the same pins); a pooled buffer
+        draws from the pool alone."""
         pl = buf.placement
         if pl is not None and len(pl.channels) > 1:
-            # Striped/range placement: draw from each member channel's
-            # remaining budget in order until the request is met.
-            granted = 0
-            need = nbytes
-            for c in pl.channels:
-                take = min(need, self._budget[c])
-                if take > 0:
-                    self._budget[c] -= take
-                    self._pool_budget = max(0, self._pool_budget - take)
-                    if self._busy_mark[c] != self._cycle:
-                        self._busy_mark[c] = self._cycle
-                        self.bank_stats[c].busy_cycles += 1
-                    self._last_grants.append((c, take))
-                    granted += take
-                    need -= take
+            members = pl.channels
+        elif buf.bank is not None:
+            members = (buf.bank,)
+        else:
+            granted = min(nbytes, pool)
+            return granted, pool - granted, [], ()
+        grants = []
+        need = nbytes
+        for c in members:
+            take = min(need, budget[c])
+            if take > 0:
+                budget[c] -= take
+                pool = max(0, pool - take)
+                grants.append((c, take))
+                need -= take
                 if need == 0:
                     break
-            if granted == 0 and nbytes > 0:
-                for c in pl.channels:
-                    self.bank_stats[c].denied_cycles += 1
-        elif buf.bank is None:
-            granted = min(nbytes, self._pool_budget)
-            self._pool_budget -= granted
-        else:
-            granted = min(nbytes, self._budget[buf.bank])
-            self._budget[buf.bank] -= granted
-            # Interleaved traffic shares the same physical pins.
-            self._pool_budget = max(0, self._pool_budget - granted)
-            if granted == 0:
-                self.bank_stats[buf.bank].denied_cycles += 1
-            else:
-                self._last_grants.append((buf.bank, granted))
-                if self._busy_mark[buf.bank] != self._cycle:
-                    self._busy_mark[buf.bank] = self._cycle
-                    self.bank_stats[buf.bank].busy_cycles += 1
+        return nbytes - need, pool, grants, members
+
+    def _grant(self, buf: DramBuffer, nbytes: int) -> int:
+        granted, self._pool_budget, grants, members = self._draw(
+            buf, nbytes, self._budget, self._pool_budget)
+        self._last_grants = grants
+        for c, _take in grants:
+            if self._busy_mark[c] != self._cycle:
+                self._busy_mark[c] = self._cycle
+                self.bank_stats[c].busy_cycles += 1
+        if granted == 0 and nbytes > 0:
+            for c in members:
+                self.bank_stats[c].denied_cycles += 1
         return granted
+
+    def full_burst_deltas(self, traffic: Iterable[DramTraffic]):
+        """Bank counter deltas ``[(BankStats, counter, delta)]`` of one
+        cycle in which each ``traffic`` entry, in step order, requests
+        its full contiguous burst from fresh budgets — the DRAM step of
+        a period-1 superstep; None if the policy cuts any burst short."""
+        budget = [self.bytes_per_cycle] * self.num_banks
+        pool = self.num_banks * self.bytes_per_cycle
+        acc: Dict[Tuple[int, str], int] = {}
+        for d in traffic:
+            nbytes = d.elements * d.buf.itemsize
+            granted, pool, grants, _ = self._draw(d.buf, nbytes, budget, pool)
+            if granted != nbytes or d.mem is not self:
+                return None
+            attr = "bytes_read" if d.kind == "read" else "bytes_written"
+            for c, take in grants:
+                acc[c, attr] = acc.get((c, attr), 0) + take
+                acc[c, "busy_cycles"] = 1
+        return [(self.bank_stats[c], attr, n) for (c, attr), n in acc.items()]
 
     def request_read(self, buf: DramBuffer, nbytes: int,
                      contiguous: bool = True) -> int:

@@ -122,6 +122,7 @@ class WakeListScheduler:
     def run(self):
         eng = self.engine
         observers = self._observers
+        w = eng._watch_window
         self.now = eng.now
         for i, k in enumerate(self.kernels):
             k._queued_for = self.now if not k.done else None
@@ -162,7 +163,6 @@ class WakeListScheduler:
                         # there (sleeping kernels push their wake event,
                         # and hence t_next, past the deadline, so they
                         # exempt the jump exactly as they exempt dense).
-                        w = eng._watch_window
                         trip = max(eng._last_op_cycle + w, self.now)
                         if w and t_next > trip and not any(
                                 not k.done and k.sleep_until >= trip
@@ -176,6 +176,13 @@ class WakeListScheduler:
                         self.now = target
                         if target >= self.max_cycles:
                             continue     # hits the max_cycles check above
+                t = self.now
+                if w and t >= eng._last_op_cycle + w and not any(
+                        not k.done and k.sleep_until >= t
+                        for k in self.kernels):
+                    # The dense core's check at the top of its
+                    # _step_cycle, before a cycle or a superstep runs.
+                    self._raise_hang("livelock", t, budget=w)
                 self._run_cycle()
         finally:
             eng.now = self.now
@@ -217,12 +224,6 @@ class WakeListScheduler:
     def _run_cycle(self) -> None:
         t = self.now
         eng = self.engine
-        w = eng._watch_window
-        if w and t >= eng._last_op_cycle + w and not any(
-                not k.done and k.sleep_until >= t for k in self.kernels):
-            # Same condition, same cycle as the dense core's check at the
-            # top of its _step_cycle.
-            self._raise_hang("livelock", t, budget=w)
         heap = self._heap
         self._progressed = False
         self._step_idx = -1

@@ -104,13 +104,15 @@ class Fblas(Level1Mixin, Level2Mixin, Level3Mixin):
         self.preflight = preflight
         #: Engine core used for ``simulate`` calls: ``"event"`` (wake-list
         #: scheduler, the default), ``"dense"`` (reference cycle loop),
-        #: ``"bulk"`` (event core plus the steady-state superstep fast
-        #: path of :mod:`repro.fpga.bulk` — byte-identical results,
-        #: fast-forwarded steady pipeline phases) or ``"certified"``
-        #: (fully static: the FB4xx rate analysis must certify the design
-        #: up front, after which steady windows replay with no runtime
-        #: probing; raises :class:`~repro.analysis.AnalysisError` for
-        #: non-certifiable designs).
+        #: ``"bulk"`` (event core plus the superstep scheduler of
+        #: :mod:`repro.fpga.bulk` — one scheduler, two deciders: a
+        #: period-1 fixed-point check, then a period-P probe under
+        #: partial DRAM grants; byte-identical results, fast-forwarded
+        #: steady pipeline phases) or ``"certified"`` (the FB4xx rate
+        #: analysis certifies the design up front or raises
+        #: :class:`~repro.analysis.AnalysisError`, the run records the
+        #: predicted cycle band, then the same scheduler as ``"bulk"``
+        #: runs).
         self.engine_mode = engine_mode
         #: Certified static schedules memoized on the structural
         #: ``plan_key`` (device identity included) — rebuilding the same

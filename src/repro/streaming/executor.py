@@ -156,8 +156,8 @@ def execute_plan(mdag: BoundMDAG, mem: DramModel,
     the ``"dense"`` reference loop, ``"bulk"`` — event stepping with
     the steady-state superstep fast path — or ``"certified"``, which
     requires the FB4xx rate analysis to certify each component up front
-    and then replays steady windows without runtime probing) for every
-    component run.  ``schedule_cache`` optionally shares certified
+    and then runs the bulk scheduler) for every component run.
+    ``schedule_cache`` optionally shares certified
     :class:`~repro.analysis.StaticSchedule` artifacts across components
     and plans (keyed structurally); certified runs default to a
     per-plan cache.

@@ -76,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    default=None, dest="engine_mode",
                    help="engine core: dense reference loop, event "
                         "wake-list scheduler, bulk steady-state fast "
-                        "path, or certified static-schedule replay "
+                        "path, or certified (certify, then bulk) "
                         "(default: event)")
     p.add_argument("--seed", type=int, default=7, help="input data seed")
     p.add_argument("--trace", metavar="PATH",

@@ -630,28 +630,39 @@ throttled_spec = st.fixed_dictionaries({
 def _build_throttled(spec):
     """DRAM read -> map/reduce -> DRAM write, kernels registered in the
     spec's order.  With ``shared_bank`` a map's writer shares its last
-    reader's bank, and a reduction's two readers share one."""
-    from repro.fpga.memory import DramModel, read_kernel, write_kernel
+    reader's bank, and a reduction's two readers share one.  An optional
+    ``placement`` of ``"striped"`` spreads each buffer over its bank and
+    the next one; ``"pooled"`` interleaves every buffer over all banks."""
+    from repro.fpga.memory import (DramModel, Placement, read_kernel,
+                                   write_kernel)
 
     n, w, op = spec["n"], spec["width"], spec["op"]
     segs = spec["segments"] if op.startswith("batched") else 1
     total = segs * n
-    mem = DramModel(num_banks=3, bytes_per_cycle=spec["bpc"])
+    placement = spec.get("placement", "single")
+    mem = DramModel(num_banks=3, bytes_per_cycle=spec["bpc"],
+                    interleaving=placement == "pooled")
+
+    def where(bank):
+        if placement == "striped":
+            return {"placement": Placement.striped((bank, (bank + 1) % 3))}
+        return {} if placement == "pooled" else {"bank": bank}
+
     eng = Engine(memory=mem)
     depth = w + spec["depth"]
     x = np.arange(total, dtype=np.float32) % 29 - 14
     y = np.arange(total, dtype=np.float32) % 11 * 0.5 - 2
-    bx = mem.bind("x", x, bank=0)
+    bx = mem.bind("x", x, **where(0))
     cx = eng.channel("cx", depth)
     kernels = [("read_x", read_kernel(mem, bx, cx, w), 1)]
     if op != "copy" and op != "asum":
-        by = mem.bind("y", y, bank=0 if op.endswith("dot")
-                      and spec["shared_bank"] else 1)
+        by = mem.bind("y", y, **where(0 if op.endswith("dot")
+                                      and spec["shared_bank"] else 1))
         cy = eng.channel("cy", depth)
         kernels.append(("read_y", read_kernel(mem, by, cy, w), 1))
     if op.endswith(("dot", "asum")):
         cres = eng.channel("cres", 4)
-        bout = mem.allocate("out", segs, bank=2)
+        bout = mem.allocate("out", segs, **where(2))
         compute = {
             "dot": lambda: level1.dot_kernel(n, cx, cy, cres, w),
             "asum": lambda: level1.asum_kernel(n, cx, cres, w),
@@ -663,8 +674,8 @@ def _build_throttled(spec):
     else:
         co = eng.channel("co", depth)
         # Shared: the writer draws on its last reader's bank.
-        bout = mem.allocate("out", total, bank=len(kernels) - 1
-                            if spec["shared_bank"] else 2)
+        bout = mem.allocate("out", total, **where(
+            len(kernels) - 1 if spec["shared_bank"] else 2))
         compute = {
             "axpy": lambda: level1.axpy_kernel(n, 0.5, cx, cy, co, w),
             "copy": lambda: level1.copy_kernel(n, cx, co, w),
@@ -727,6 +738,67 @@ class TestDifferentialThrottled:
         stats = bulk[3]
         assert stats["windows"] >= 1
         assert stats["bulk_cycles"] >= 0.9 * bulk[0]["cycles"]
+
+
+placed_spec = st.builds(lambda s, p: {**s, "placement": p}, throttled_spec,
+                        st.sampled_from(("striped", "pooled")))
+
+
+class TestDifferentialPlacement:
+    """Striped and pooled DRAM buffers.  One grant policy in
+    ``repro.fpga.memory`` serves the event cycles and the period-1
+    window's bank deltas, so bulk and certified runs must match the
+    event core byte for byte, ``bank_stats`` included."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(placed_spec)
+    def test_placed_designs_identical(self, spec):
+        from repro.analysis import AnalysisError
+
+        event = _throttled_outcome("event", spec)
+        bulk = _throttled_outcome("bulk", spec)
+        assert bulk[:3] == event[:3], f"bulk diverged for {spec}"
+        try:
+            certified = _throttled_outcome("certified", spec)
+        except AnalysisError:
+            return                       # over budget: refused pre-flight
+        assert certified[:3] == event[:3], f"certified diverged for {spec}"
+        assert certified[3]["probes"] == certified[3]["cooldowns"] == 0
+
+    @staticmethod
+    def _axpydot(mode, placement):
+        """AXPYDOT W=8 n=4096 on a Stratix 10 context; each input on
+        its own bank, striped over two banks, or pooled."""
+        from repro.apps.axpydot import build_axpydot_engine
+        from repro.fpga.memory import Placement
+        from repro.host import FblasContext
+
+        ctx = FblasContext(interleaving=placement == "pooled")
+        rng = np.random.default_rng(3)
+        bufs = []
+        for i, name in enumerate("wvu"):
+            data = rng.standard_normal(4096).astype(np.float32)
+            where = ({"placement": Placement.striped((i, i + 1))}
+                     if placement == "striped" else {})
+            bufs.append(ctx.mem.bind(name, data, **where))
+        eng, out = build_axpydot_engine(ctx, *bufs, np.float32(0.5),
+                                        width=8, mode=mode)
+        report = eng.run()
+        banks = [b.to_dict() for b in ctx.mem.bank_stats]
+        return (report.to_dict(), banks, float(out[0])), eng.bulk_stats()
+
+    @pytest.mark.parametrize("placement", ["single", "striped", "pooled"])
+    @pytest.mark.parametrize("mode", ["bulk", "certified"])
+    def test_axpydot_windows_engage(self, mode, placement):
+        event, _ = self._axpydot("event", placement)
+        outcome, stats = self._axpydot(mode, placement)
+        assert outcome[1] == event[1], "bank stats diverged"
+        assert outcome == event
+        assert stats["windows"] >= 1
+        # Most of the 512-cycle steady phase is fast-forwarded.
+        assert stats["bulk_cycles"] >= 0.8 * 4096 // 8, stats
+        if mode == "certified":
+            assert stats["probes"] == stats["cooldowns"] == 0
 
 
 class TestPaperThrottledStreams:
