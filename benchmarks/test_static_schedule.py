@@ -11,13 +11,19 @@ their bank budgets (FB402), so it leaves no residue and never probes.
 
 The row-tiled GEMV re-forms its steady state at every tile boundary;
 both tiers engage one window per tile with zero probes.  On long
-monolithic streams (DOT) both fast-forward >95% of the run.
+monolithic streams (DOT) both fast-forward >95% of the run.  The host
+GEMV at the paper's W=16 on Stratix 10 reads A from DRAM in tile order
+through the patterned reader; its bank grants 53 of the 64 B a burst
+asks for, so each tile's steady state has a period P > 1 and the bulk
+tier engages it through the probe, one window per tile (certification
+rejects the over-budget design with FB402, so that row is bulk only).
 
 Results land in ``BENCH_static.json`` (override with the
 ``BENCH_STATIC_JSON`` env var); the CI bench-smoke gate asserts the
 certified tier is never materially slower than bulk, never probes,
-that both tiers engage every GEMV tile, and that a 10M-element DOT
-stays in single-digit seconds.
+that both tiers engage every GEMV tile, that the tiled W=16 host GEMV
+fast-forwards at least 85% of its cycles byte-identical to the event
+core, and that a 10M-element DOT stays in single-digit seconds.
 """
 
 import json
@@ -82,6 +88,40 @@ def run_axpydot_w8(n, mode):
     return rep.cycles, rep.kernel_steps, _counters(eng)
 
 
+def run_host_gemv_w16(n, mode, tile=64):
+    """Host GEMV on Stratix 10 at W=16 (interleaving off, one bank per
+    buffer): A streams from DRAM in 64x64 tiles by rows.  The parity
+    digest covers the report, the bank counters and the result bytes."""
+    from repro.fpga.device import STRATIX10
+    from repro.host import Fblas
+
+    rng = np.random.default_rng(SEED)
+    A, x, y = f32(rng, n, n), f32(rng, n), f32(rng, n)
+    fb = Fblas(device=STRATIX10, interleaving=False, width=16,
+               engine_mode=mode, tile=tile)
+    runs = []
+    make = fb._engine
+
+    def recording_engine():
+        eng = make()
+        run = eng.run
+
+        def recorded(*args, **kwargs):
+            runs.append((eng, run(*args, **kwargs)))
+            return runs[-1][1]
+        eng.run = recorded
+        return eng
+
+    fb._engine = recording_engine
+    out = fb.gemv(1.5, fb.copy_to_device(A), fb.copy_to_device(x), 0.5,
+                  fb.copy_to_device(y))
+    ((eng, rep),) = runs
+    digest = (json.dumps(rep.to_dict(), sort_keys=True),
+              [b.to_dict() for b in fb.context.mem.bank_stats],
+              np.asarray(out).tobytes())
+    return rep.cycles, rep.kernel_steps, _counters(eng), digest
+
+
 def run_gemv_tiled(n, mode, tn=8, tm=16, width=8):
     """Source-fed row-tiled GEMV (Fig. 10): steady state re-forms every
     tile, the adversarial case for speculative probing."""
@@ -116,9 +156,9 @@ def measure(name, runner, size, modes):
     parity = {}
     for m in modes:
         t0 = time.perf_counter()
-        cycles, steps, counters = runner(size, m)
+        cycles, steps, counters, *digest = runner(size, m)
         wall = time.perf_counter() - t0
-        parity[m] = (cycles, steps)
+        parity[m] = (cycles, steps, digest)
         entry["cycles"] = cycles
         entry["kernel_steps"] = steps
         entry[f"{m}_seconds"] = round(wall, 4)
@@ -128,9 +168,11 @@ def measure(name, runner, size, modes):
             entry[f"{m}_ff_cycles"] = counters["cycles"]
     first = parity[modes[0]]
     assert all(v == first for v in parity.values()), (
-        f"{name}@{size}: modes diverged: {parity}")
-    entry["certified_speedup"] = round(
-        entry["bulk_seconds"] / max(entry["certified_seconds"], 1e-9), 2)
+        f"{name}@{size}: modes diverged")
+    if "certified" in modes:
+        entry["certified_speedup"] = round(
+            entry["bulk_seconds"] / max(entry["certified_seconds"], 1e-9),
+            2)
     return entry
 
 
@@ -145,6 +187,9 @@ def collect():
          ("event", "bulk", "certified")),
         ("gemv_tiled", run_gemv_tiled, (256, 512),
          ("event", "bulk", "certified")),
+        # W=16 exceeds the Stratix 10 bank budget: FB402 rejects
+        # certification, so this row is event vs bulk.
+        ("host_gemv_w16", run_host_gemv_w16, (512,), ("event", "bulk")),
     ]:
         for size in sizes:
             entries.append(measure(name, runner, size, modes))
@@ -164,17 +209,22 @@ def test_regenerate_and_dump():
     print_table(
         "Bulk and certified tiers on one superstep scheduler (FB4xx)",
         ["bench", "size", "cycles", "bulk s", "cert s", "cert x",
-         "bulk probes", "cert windows", "cert ff"],
+         "bulk probes", "bulk windows", "bulk ff", "cert windows",
+         "cert ff"],
         [(e["bench"], e["size"], e["cycles"], e["bulk_seconds"],
-          e["certified_seconds"], f"{e['certified_speedup']:.2f}",
-          e["bulk_probes"], e["certified_windows"],
-          e["certified_ff_cycles"]) for e in ENTRIES])
+          e.get("certified_seconds", "-"),
+          f"{e['certified_speedup']:.2f}" if "certified_speedup" in e
+          else "-",
+          e["bulk_probes"], e["bulk_windows"], e["bulk_ff_cycles"],
+          e.get("certified_windows", "-"),
+          e.get("certified_ff_cycles", "-")) for e in ENTRIES])
     payload = {
         "benchmark": "static_schedule",
         "unit_note": "certified_speedup = bulk_seconds / "
                      "certified_seconds; *_ff_cycles = cycles "
                      "fast-forwarded arithmetically; certified rows "
-                     "must show zero probes",
+                     "must show zero probes; host_gemv_w16 is bulk "
+                     "only (FB402 rejects W=16 certification)",
         "entries": ENTRIES,
     }
     with open(BENCH_PATH, "w") as f:
@@ -185,7 +235,8 @@ def test_regenerate_and_dump():
 def test_certified_never_probes():
     """The defining property: zero probes, zero cooldowns, ever."""
     for e in ENTRIES:
-        assert e["certified_probes"] == 0, e
+        if "certified_probes" in e:
+            assert e["certified_probes"] == 0, e
 
 
 def test_certified_not_slower_than_probing():
@@ -194,7 +245,7 @@ def test_certified_not_slower_than_probing():
     finishes in <50 ms are all noise at this resolution and are exempt
     (they are still recorded in the JSON)."""
     for e in ENTRIES:
-        if e["bulk_seconds"] < 0.05:
+        if e["bulk_seconds"] < 0.05 or "certified_speedup" not in e:
             continue
         assert e["certified_speedup"] >= 0.8, e
 
@@ -220,3 +271,15 @@ def test_both_tiers_engage_every_tile():
             assert e[f"{m}_windows"] == tiles, e
             assert e[f"{m}_probes"] == 0, e
         assert e["bulk_ff_cycles"] == e["certified_ff_cycles"], e
+
+
+def test_tiled_w16_host_gemv_engages_every_tile():
+    """The paper's W=16 GEMV reads A in 64x64 tiles through the one
+    cursor-driven DRAM reader: the bulk tier replays one throttled
+    (P > 1) window per tile, fast-forwards >= 85% of the cycles, and
+    measure() already asserted the report, bank counters and result
+    bytes match the event core."""
+    e = _row("host_gemv_w16")
+    tiles = (e["size"] // 64) ** 2
+    assert e["bulk_windows"] == tiles, e
+    assert e["bulk_ff_cycles"] >= 0.85 * e["cycles"], e

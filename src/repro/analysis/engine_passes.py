@@ -212,7 +212,7 @@ def check_placement_conflicts(plan: PlanIR, ctx) -> Iterable[Diagnostic]:
     per_channel: Dict[int, Dict[str, int]] = {}
     for k in plan.kernels:
         for t in k.dram:
-            nbytes = t.elements * t.itemsize
+            nbytes = t.nbytes
             if t.channels:
                 share = -(-nbytes // len(t.channels))
                 targets = [(c, share) for c in t.channels]

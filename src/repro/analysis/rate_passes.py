@@ -148,16 +148,17 @@ def bank_demand(subject) -> Dict[Optional[int], int]:
     interleaved buffers (drawing from the pooled budget).  Traffic on a
     striped/range placement spreads evenly over its member channels
     (rounded up per channel — the conservative direction for a
-    feasibility lint).  Only pattern-declared traffic is visible —
-    dynamic (ordered) memory kernels contribute nothing here, which
-    FB404 surfaces separately.  Budgets come from the plan's
-    :class:`~repro.plan.PlanMemory`.
+    feasibility lint).  Strided traffic is charged its stride penalty
+    (:attr:`~repro.plan.PlanTraffic.nbytes`).  Only pattern-declared
+    traffic is visible — a memory kernel that only declares its ports
+    contributes nothing here, which FB404 surfaces separately.  Budgets
+    come from the plan's :class:`~repro.plan.PlanMemory`.
     """
     plan = as_plan(subject)
     demand: Dict[Optional[int], int] = {}
     for k in plan.kernels:
         for t in k.dram:
-            nbytes = t.elements * t.itemsize
+            nbytes = t.nbytes
             if t.channels:
                 share = -(-nbytes // len(t.channels))
                 for c in t.channels:

@@ -145,7 +145,7 @@ def _build_schedule(plan: PlanIR) -> StaticSchedule:
     for k in plan.kernels:
         lanes = _kernel_lanes(k)
         m = _kernel_iterations(k, lanes)
-        dram = sum(t.elements * t.itemsize for t in k.dram)
+        dram = sum(t.nbytes for t in k.dram)
         segments = (PhaseSegment("fill", k.latency),
                     PhaseSegment("steady", k.pattern_ii,
                                  m if m is not None else 0),

@@ -16,18 +16,22 @@ All kernels expect the matrix stream in the order produced by the matching
 :class:`repro.streaming.tiling.MatrixSchedule` with row-major elements.
 
 The tiled loop nests are mostly not statically regular cycle by cycle
-(block loads, per-tile epilogues, loop-carried solves), so modules here
-carry a *declare-only* :class:`~repro.fpga.pattern.StaticPattern` via
-:func:`_declared`: the steady ports, rates and reordering windows
+(block loads, per-tile epilogues, loop-carried solves), so most modules
+here carry a *declare-only* :class:`~repro.fpga.pattern.StaticPattern`
+via :func:`_declared`: the steady ports, rates and reordering windows
 (``defer``) are documented for analysis and the bulk engine, but
 ``ready()`` is pinned to 0 and the fast path always falls back to exact
-event stepping for these kernels.  The exception is
-:func:`gemv_row_tiles`: when the tile width divides the vectorization
-width evenly its matrix phase *is* regular — one W-wide burst of A per
-cycle for T_N*T_M/W cycles — so it carries an executable pattern over
-the A port alone and the bulk/certified engines fast-forward whole
-tiles, dropping to event stepping only for the x/y block loads and the
-per-row-of-tiles output epilogue.
+event stepping for these kernels.  The exceptions are the modules whose
+matrix phase *is* regular when the vectorization width divides the
+tile width — one W-wide burst of A per cycle for a whole tile or row of
+tiles: :func:`gemv_row_tiles` and :func:`gemv_transposed_row_tiles`
+carry an executable pattern over the A port alone, :func:`ger_kernel`
+over the A and A' ports.
+The DRAM interface kernels that read A and write B in tile order are
+patterned too (:func:`repro.fpga.memory.read_kernel` walks the
+schedule's run form), so the bulk/certified engines fast-forward whole
+tiles of a DRAM-fed composition, dropping to event stepping only for the
+x/y block loads and the per-tile epilogues.
 """
 
 from __future__ import annotations

@@ -37,17 +37,26 @@ injected throttle is active.  Observers disable the fast path outright
    (a Stratix 10 bank grants 53 B/cycle, a 16-lane f32 port asks for
    64: the readers deliver 13 elements a cycle and the consumer stalls
    3 cycles in every 16).  So only when step 1 fails, a queued kernel
-   carries residue and no patterned kernel waits mid-iteration does a
-   probe open.  Each probe cycle captures the relative state: per
-   channel its FIFO occupancy and staged-readiness offsets, per kernel
-   its queued flag, blocked op (kind, channel, count) and residue.  The
-   cycles execute **normally**; a fingerprint that repeats one from at
-   most :data:`~BulkScheduler.MAX_PERIOD` cycles earlier names a
-   candidate period P.  Every counter is then snapshotted and one more
-   period executes normally; the state must repeat again, staged
-   offsets compared exactly.  If no candidate confirms within
-   ``2 * MAX_PERIOD`` cycles nothing is lost (every probe cycle was
-   real), and probing backs off exponentially.  A confirmed period
+   carries residue and every queued kernel without residue has
+   :data:`~BulkScheduler.PROBE_READY` iterations in hand does a probe
+   open.  Kernels blocked elsewhere do not hold it back: a blocked
+   kernel stays outside the window unless an event wakes it, and a
+   woken one fails the window checks.  Each probe cycle captures the
+   relative state: per channel its FIFO occupancy (or "deep", when it
+   is at least :data:`~BulkScheduler.SLACK` from empty and from full)
+   and staged-readiness offsets, per kernel its queued flag, blocked op
+   (kind, channel, count), residue and
+   :meth:`~repro.fpga.pattern.StaticPattern.phase` (where a tiled
+   reader stands between two breaks of its order).  Staged offsets are
+   clamped at 0: a value overdue behind a full FIFO behaves the same
+   however long it has waited.  The cycles execute **normally**; a
+   fingerprint that repeats one from at most
+   :data:`~BulkScheduler.MAX_PERIOD` cycles earlier names a candidate
+   period P.  Every counter is then snapshotted and one more period
+   executes normally; the state must repeat again, staged offsets
+   compared exactly (up to the same clamp).  If no candidate confirms
+   within ``2 * MAX_PERIOD`` cycles nothing is lost (every probe cycle
+   was real), and probing backs off exponentially.  A confirmed period
    proves the state P-periodic until some kernel leaves its steady
    phase or a foreign event fires.
 3. **Window checks** (period P) — the kernels stepped during the
@@ -56,9 +65,18 @@ injected throttle is active.  Observers disable the fast path outright
    inside the window, no other channel may have moved a value, no
    foreign kernel may wait on a window channel, and each kernel must
    have moved a whole number ``i`` of ``lanes``-wide iterations on
-   every port (its iterations per period).
+   every port (its iterations per period).  A channel that moved
+   nothing in the period may keep one endpoint outside the window: a
+   DRAM reader spinning on a grant its bank always denies joins with
+   ``i = 0`` and its ``denied_cycles`` advance with the other
+   counters.  So may a deep channel that fills or drains by ``d``
+   values per period (ATAX buffers a whole row of tiles between its
+   GEMVs): its trend is replayed, not required to vanish.
 4. **Window bound** — the number of periods k is clamped so that each
-   kernel keeps ``k * i`` steady iterations in hand (one more if it
+   deep channel's trend keeps it far enough from empty and from full
+   that no pop, push or maturation can depend on its exact occupancy
+   (:func:`_trend_room`), that each kernel keeps ``k * i`` steady
+   iterations in hand (one more if it
    ends the period blocked, since its pending ``Pop`` already names the
    next iteration's width), that the earliest viable foreign heap event
    (a sleeper's wake, a non-window maturation), injected memory fault
@@ -72,10 +90,11 @@ with :meth:`Channel.push_block` — ndarray slices, not per-element
 tuples.  Every other counter grows by k times its per-period delta
 (measured over the confirming period; at P = 1 one active cycle per
 kernel plus the bank deltas); ``max_occupancy`` cannot exceed the
-period's peak.  :meth:`Channel.end_window` then
-rebuilds each window channel from the period's start occupancy and
-staged offsets, shifted by ``k * P`` cycles, with a count check that
-raises :class:`~repro.fpga.errors.SimulationError` if the window left a
+period's peak (a filling deep channel's peak rises with its trend).
+:meth:`Channel.end_window` then rebuilds each window channel from the
+period's start occupancy (plus ``k * d`` on a deep channel) and staged
+offsets, shifted by ``k * P`` cycles, with a count check that raises
+:class:`~repro.fpga.errors.SimulationError` if the window left a
 different number of values.
 
 Anything the proof does not cover — fill and drain phases, epilogues,
@@ -125,10 +144,20 @@ class BulkScheduler(WakeListScheduler):
 
     #: Smallest window worth replaying arithmetically, in cycles.
     MIN_WINDOW = 4
+    #: Fewest steady iterations each queued kernel without burst residue
+    #: (the compute kernels; DRAM kernels count whole streams) must have
+    #: ready for a probe to open: two measured periods and a window must
+    #: fit before it leaves its steady phase, and a small tile re-forms
+    #: its steady state too often to pay for probing.
+    PROBE_READY = 4 * MIN_WINDOW
     #: Longest period a probe looks for, in cycles.
     MAX_PERIOD = 64
     #: Cap on the exponential probe backoff, in cycles.
     MAX_COOLDOWN = 64
+    #: FIFO occupancy and free room beyond which the probe's fingerprint
+    #: ignores a channel's exact occupancy (a deep buffer filling or
+    #: draining steadily); :meth:`_replay` bounds the trend exactly.
+    SLACK = 2 * MAX_PERIOD
 
     def __init__(self, engine, max_cycles: int):
         super().__init__(engine, max_cycles)
@@ -137,6 +166,7 @@ class BulkScheduler(WakeListScheduler):
         self._confirm = None      # (cycle, fingerprint, anchor) to verify
         self._cool = 0            # cycles left before the next probe
         self._cooldown = 1        # next backoff length
+        self._graphs = {}         # window structure per kernel set
         banks = engine.memory.bank_stats if engine.memory is not None else ()
         self._counters = (
             [(k.stats, a) for k in self.kernels for a in _KERNEL_COUNTERS]
@@ -171,8 +201,7 @@ class BulkScheduler(WakeListScheduler):
             fp = self._fingerprint()
             t0 = self._seen.get(fp)
             if (t0 is not None and self.now - t0 <= self.MAX_PERIOD
-                    and self._steady_phase() is not None
-                    and self._probe_phase()):
+                    and self._steady_phase() is not None):
                 # A candidate period: measure the next one against it.
                 self._seen = None
                 self._confirm = (2 * self.now - t0, fp, self._anchor())
@@ -188,14 +217,17 @@ class BulkScheduler(WakeListScheduler):
             # Only a partial DRAM grant leaves burst residue, and only a
             # partial grant makes these pipelines periodic with P > 1:
             # without residue decider 1 alone can engage.
-            residue = None if self._observers else self._steady_phase()
-            if residue is False:
-                if self._period_one():
-                    return
-            elif residue and not cool and self._probe_phase():
-                self._probe_start = self.now
-                self._seen = {self._fingerprint(): self.now}
-                self.engine._bulk_probes += 1
+            steady = None if self._observers else self._steady_phase()
+            if steady is not None:
+                residue, ready = steady
+                if not residue:
+                    if self._period_one(ready):
+                        return
+                elif not cool and (ready is None
+                                   or ready >= self.PROBE_READY):
+                    self._probe_start = self.now
+                    self._seen = {self._fingerprint(): self.now}
+                    self.engine._bulk_probes += 1
         super()._run_cycle()
 
     def _back_off(self) -> None:
@@ -203,41 +235,48 @@ class BulkScheduler(WakeListScheduler):
         self._cool = self._cooldown
         self._cooldown = min(self._cooldown * 2, self.MAX_COOLDOWN)
 
-    def _steady_phase(self) -> bool | None:
+    def _steady_phase(self):
         """The precondition of both deciders: every queued kernel is
         :func:`_steady`, started and ready, and no throttle window (it
         changes the grants mid-window) is active.  None when it fails,
-        else whether a queued kernel carries burst residue."""
+        else ``(residue, ready)``: whether a queued kernel carries burst
+        residue, and the fewest iterations a queued kernel without
+        residue has ready (None when every one carries residue)."""
         cur = self._current
         if not cur:
             return None
         residue = False
+        least = None
         for k in cur:
+            # _steady(k) and p.ready()/p.residue(), inlined: this runs
+            # for every queued kernel on every event-stepped cycle.
             p = k.pattern
-            if (not _steady(k) or k.stats.start_cycle is None
-                    or p.ready() < 1):
+            if (p is None or p._ready is None or p.ii != 1
+                    or k.stats.start_cycle is None):
                 return None
-            if p.residue():
+            b = k.blocked
+            if b is not None and not (b.kind == "pop" and p.reads
+                                      and b.channel is p.reads[0][0]):
+                return None
+            r = p._ready()
+            if r < 1:
+                return None
+            if p._residue is not None and p._residue():
                 residue = True
+            elif least is None or r < least:
+                least = r
         inj = self.engine._injector
         if inj is not None and inj.throttle_active(self.now):
             return None
-        return residue
+        return residue, least
 
-    def _probe_phase(self) -> bool:
-        """No patterned kernel waits mid-iteration: it would join the
-        measured period unreplayable.  (A period-1 window steps only the
-        queued kernels; such a kernel just stays blocked through it.)"""
-        for k in self.kernels:
-            if (k.blocked is not None and not k.done
-                    and k.pattern is not None and not _steady(k)):
-                return False
-        return True
-
-    def _period_one(self) -> bool:
+    def _period_one(self, ready: int) -> bool:
         """Decider 1: replay a period-1 window now if one event cycle
         provably maps the current state to itself (:meth:`_aligned`),
-        executing no probe cycle; False to fall through."""
+        executing no probe cycle; False to fall through.  ``ready`` is
+        the fewest iterations a queued kernel has ready."""
+        if ready < self.MIN_WINDOW:
+            return False
         cur = self._current              # sorted by index, all patterned
         for k in cur:
             if k.blocked is not None:
@@ -247,8 +286,7 @@ class BulkScheduler(WakeListScheduler):
             return False
         order, producers, consumers = graph
         t = self.now
-        span = self._horizon(t, min(k.pattern.ready() for k in cur),
-                             producers)
+        span = self._horizon(t, ready, producers)
         if span < self.MIN_WINDOW:
             return False
         peaks = self._aligned(producers, consumers)
@@ -335,17 +373,22 @@ class BulkScheduler(WakeListScheduler):
 
     def _fingerprint(self):
         """Relative system state, invariant under a time shift when the
-        system is periodic: per channel its FIFO occupancy and the size
-        and first/last offset of its staged values, and per kernel its
-        queued flag, blocked op and pattern residue.  The full staged
-        offsets are compared only when fingerprints match (they are
-        long under deep pipelines; see :meth:`_anchor`)."""
+        system is periodic: per channel its FIFO occupancy (or "deep",
+        at least :data:`SLACK` from empty and from full) and the size and
+        first/last offset of its staged values, and per kernel its
+        queued flag, blocked op, pattern residue and phase.  The full
+        staged offsets are compared only when fingerprints match (they
+        are long under deep pipelines; see :meth:`_anchor`)."""
         t = self.now
+        slack = self.SLACK
         chans = []
         for ch in self.channels:
             st = ch._staged
-            chans.append((len(ch._fifo), len(st), st[0][0] - t,
-                          st[-1][0] - t) if st else len(ch._fifo))
+            occ = len(ch._fifo)
+            if occ >= slack and ch.depth - occ - len(st) >= slack:
+                occ = -1                 # deep: the trend is checked later
+            chans.append((occ, len(st), max(st[0][0] - t, 0),
+                          max(st[-1][0] - t, 0)) if st else occ)
         kernels = []
         for k in self.kernels:
             if k.done:
@@ -356,21 +399,22 @@ class BulkScheduler(WakeListScheduler):
             if b is not None:
                 b = (b.kind, b.channel, b.op.count if b.kind == "pop"
                      else len(b.op.values))
-            kernels.append((k._queued_for == t, b,
-                            p.residue() if p is not None else 0))
+            kernels.append((k._queued_for == t, b, p.residue(), p.phase())
+                           if p is not None else (k._queued_for == t, b))
         return tuple(chans), tuple(kernels)
 
     def _anchor(self):
         """What a replay measures its period against: the cycle, every
-        counter, each channel's push/pop totals and staged ready cycles,
-        each blocked kernel's uncharged stall lag and the next injected
-        memory event."""
+        counter, each channel's push/pop totals, FIFO peak and staged
+        ready cycles, each blocked kernel's uncharged stall lag and the
+        next injected memory event."""
         t = self.now
         inj = self.engine._injector
         return (
             t,
             [getattr(o, a) for o, a in self._counters],
-            [(ch.stats.pushes, ch.stats.pops) for ch in self.channels],
+            [(ch.stats.pushes, ch.stats.pops, ch.stats.max_occupancy)
+             for ch in self.channels],
             [tuple(map(_READY, ch._staged)) for ch in self.channels],
             {k: t - k.blocked.since for k in self.kernels
              if k.blocked is not None and not k.done},
@@ -386,7 +430,7 @@ class BulkScheduler(WakeListScheduler):
         t1 = self.now
         period = t1 - t0
         for ch, rs in zip(self.channels, ready0):
-            if any(r - r0 != period
+            if any(max(r - t1, 0) != max(r0 - t0, 0)
                    for r0, r in zip(rs, map(_READY, ch._staged))):
                 return False             # staged offsets differ
         if eng._last_op_cycle < t0:
@@ -403,18 +447,19 @@ class BulkScheduler(WakeListScheduler):
             b = k.blocked
             if b is not None and lag0.get(k) != t1 - b.since:
                 return False
-        graph = self._window_graph(window)
+        flows = {ch: (ch.stats.pushes - pu0, ch.stats.pops - po0)
+                 for ch, (pu0, po0, _m) in zip(self.channels, flows0)}
+        # A deep channel may fill or drain by d values per period.
+        trend = {ch: u - o for ch, (u, o) in flows.items() if u != o}
+        graph = self._window_graph(
+            window, loose={ch for ch, moved in flows.items()
+                           if moved == (0, 0)} | trend.keys())
         if graph is None:
             return False
-        order, producers, _consumers = graph
-        flows = {}
-        for ch, (pu0, po0) in zip(self.channels, flows0):
-            moved = (ch.stats.pushes - pu0, ch.stats.pops - po0)
-            if ch not in producers:
-                if moved != (0, 0):
-                    return False         # an unproven channel moved
-                continue
-            flows[ch] = moved
+        order, producers, consumers = graph
+        for ch, (u, o) in flows.items():
+            if u and ch not in producers or o and ch not in consumers:
+                return False             # an unproven channel moved
         iters = {}
         periods = None
         for k in order:
@@ -432,7 +477,19 @@ class BulkScheduler(WakeListScheduler):
                 periods = room if periods is None else min(periods, room)
         if periods is None or periods < 1:
             return False
-        periods = self._horizon(t1, periods * period, producers) // period
+        rising = {}
+        if trend:
+            peaks0 = {ch: m for ch, (_u, _o, m) in zip(self.channels,
+                                                       flows0)}
+            for ch, d in trend.items():
+                k = _trend_room(ch, d, flows[ch], consumers, peaks0[ch])
+                if k is None:
+                    return False
+                periods = min(periods, k)
+                if d > 0 and ch.stats.max_occupancy > peaks0[ch]:
+                    rising[ch] = d
+        chans = producers.keys() | trend.keys()
+        periods = self._horizon(t1, periods * period, chans) // period
         if periods < 1 or periods * period < self.MIN_WINDOW:
             return False
         deltas = []
@@ -441,10 +498,11 @@ class BulkScheduler(WakeListScheduler):
             if d:
                 deltas.append((obj, attr, d))
         self._execute_window(periods, period, order, iters, deltas,
-                             producers, eng._last_op_cycle + periods * period)
+                             chans, eng._last_op_cycle + periods * period,
+                             trend, rising)
         return True
 
-    def _window_graph(self, kernels):
+    def _window_graph(self, kernels, loose=frozenset()):
         """Port maps and replay order of a candidate window.
 
         Returns ``(order, producers, consumers)`` — the kernels in
@@ -454,50 +512,27 @@ class BulkScheduler(WakeListScheduler):
         both inside the window, no foreign kernel waits on it (its wake
         order would change), no channel fault is due on it (the block
         transfers would bypass it), and the channel graph is acyclic.
+        A channel of ``loose`` may have one endpoint outside the window:
+        one that moved nothing in the measured period (a kernel spinning
+        on a denied DRAM grant touches it with zero iterations per
+        period) or a deep one filling or draining (:func:`_trend_room`).
+        The structure depends on the kernel set alone (patterns are
+        fixed), so it is computed once per set.
         """
-        producers = {}
-        consumers = {}
-        inj = self.engine._injector
-        for k in kernels:
-            p = k.pattern
-            for ch, w in p.reads:
-                if ch in consumers:
-                    return None
-                consumers[ch] = (k, w)
-            for ch, w, _lat in p.writes:
-                if ch in producers or inj is not None and inj.pending(ch):
-                    return None
-                for x in ch._pop_waiters + ch._push_waiters:
-                    if x not in kernels:
-                        return None
-                producers[ch] = (k, w)
-        if producers.keys() != consumers.keys():
+        key = (tuple(map(_KIDX, kernels)), frozenset(loose))
+        graph = self._graphs.get(key, False)
+        if graph is False:
+            graph = self._graphs[key] = _window_structure(kernels, loose)
+        if graph is None:
             return None
-        # Topological producer -> consumer order (Kahn, index-ordered).
-        indeg = {k: 0 for k in kernels}
-        adj = {k: [] for k in kernels}
-        for ch, (pk, _w) in producers.items():
-            ck = consumers[ch][0]
-            if pk is ck:
+        inj = self.engine._injector
+        for ch in graph[1]:
+            if inj is not None and inj.pending(ch):
                 return None
-            adj[pk].append(ck)
-            indeg[ck] += 1
-        frontier = sorted((k for k in kernels if indeg[k] == 0), key=_KIDX)
-        order = []
-        while frontier:
-            k = frontier.pop(0)
-            order.append(k)
-            grew = False
-            for nk in adj[k]:
-                indeg[nk] -= 1
-                if indeg[nk] == 0:
-                    frontier.append(nk)
-                    grew = True
-            if grew:
-                frontier.sort(key=_KIDX)
-        if len(order) != len(kernels):
-            return None                  # cyclic pattern graph
-        return order, producers, consumers
+            for x in ch._pop_waiters + ch._push_waiters:
+                if x not in kernels:
+                    return None
+        return graph
 
     def _horizon(self, t1: int, span: int, window_chans) -> int:
         """Clamp a window of ``span`` cycles from ``t1`` so that nothing
@@ -523,20 +558,27 @@ class BulkScheduler(WakeListScheduler):
         return max(span, 0)
 
     def _execute_window(self, periods, period, order, iters, deltas,
-                        window_chans, last_op) -> None:
+                        window_chans, last_op, trend=None,
+                        rising=None) -> None:
         """Execute ``periods`` periods of ``period`` cycles (no bail-outs).
 
         ``iters`` maps each kernel to its iterations per period,
         ``deltas`` lists ``(object, counter, per-period delta)``, every
-        channel of ``window_chans`` returns to its current occupancy and
-        staged offsets, and ``last_op`` is the last cycle the window
-        moves a value.
+        channel of ``window_chans`` returns to its current staged offsets
+        and occupancy (plus ``periods`` times its ``trend`` for a deep
+        channel filling or draining), the FIFO peak of each ``rising``
+        channel grows by ``periods`` times its trend, and ``last_op`` is
+        the last cycle the window moves a value.
         """
         t1 = self.now
         span = periods * period
         t_end = t1 + span
-        targets = [(ch, len(ch._fifo), [r - t1 for r, _v in ch._staged])
+        trend = trend or {}
+        targets = [(ch, len(ch._fifo) + periods * trend.get(ch, 0),
+                    [r - t1 for r, _v in ch._staged])
                    for ch in window_chans]
+        for ch, d in (rising or {}).items():
+            ch.stats.max_occupancy += periods * d
         for k in order:
             m = periods * iters[k]
             if not m:
@@ -571,3 +613,88 @@ class BulkScheduler(WakeListScheduler):
         self.engine._bulk_windows += 1
         self.engine._bulk_cycles += span
 
+
+def _window_structure(kernels, loose):
+    """The static half of :meth:`BulkScheduler._window_graph`: port maps
+    and topological order of ``kernels``, or None."""
+    producers = {}
+    consumers = {}
+    for k in kernels:
+        p = k.pattern
+        for ch, w in p.reads:
+            if ch in consumers:
+                return None
+            consumers[ch] = (k, w)
+        for ch, w, _lat in p.writes:
+            if ch in producers:
+                return None
+            producers[ch] = (k, w)
+    if any(ch not in loose for ch in producers.keys() ^ consumers.keys()):
+        return None
+    # Topological producer -> consumer order (Kahn, index-ordered).
+    indeg = {k: 0 for k in kernels}
+    adj = {k: [] for k in kernels}
+    for ch, (pk, _w) in producers.items():
+        if ch not in consumers:
+            continue
+        ck = consumers[ch][0]
+        if pk is ck:
+            return None
+        adj[pk].append(ck)
+        indeg[ck] += 1
+    frontier = sorted((k for k in kernels if indeg[k] == 0), key=_KIDX)
+    order = []
+    while frontier:
+        k = frontier.pop(0)
+        order.append(k)
+        grew = False
+        for nk in adj[k]:
+            indeg[nk] -= 1
+            if indeg[nk] == 0:
+                frontier.append(nk)
+                grew = True
+        if grew:
+            frontier.sort(key=_KIDX)
+    if len(order) != len(kernels):
+        return None                      # cyclic pattern graph
+    return order, producers, consumers
+
+
+def _trend_room(ch, d, flow, consumers, peak0):
+    """Periods a deep channel filling or draining by ``d`` values per
+    period can keep doing so; None when its exact occupancy could act
+    inside one.
+
+    Over a period the FIFO dips at most the ``o`` values popped below
+    its start, and its FIFO plus staged values rise at most the ``u``
+    pushed.  So while every period starts with at least ``o + max(o,
+    lanes)`` visible values (every pop, and a writer's look at the
+    occupancy, sees at least ``lanes``) and ``u`` free slots beyond its
+    staged values (every push fits, every due value matures), no pop,
+    push or maturation depends on the exact occupancy, and each period
+    replays the measured one ``d`` values higher.  The measured period
+    itself must keep the bound, and a kernel waiting on the channel
+    fails it.  A filling channel whose FIFO peak was set inside the
+    measured period (``peak0`` is the peak before it) sees that peak
+    rise by ``d`` per period; otherwise the window stays short of
+    reaching the old peak.
+    """
+    u, o = flow
+    if ch._pop_waiters or ch._push_waiters:
+        return None
+    lanes = consumers[ch][1] if ch in consumers else 0
+    low = o + max(o, lanes)
+    high = ch.depth - len(ch._staged) - u
+    occ = len(ch._fifo)
+    start = occ - d                      # the measured period's start
+    if min(start, occ) < low or max(start, occ) > high:
+        return None
+    # Replayed period j = 0 .. k-1 starts at occ + j * d.
+    if d < 0:
+        return (occ - low) // -d + 1
+    room = (high - occ) // d + 1
+    if ch.stats.max_occupancy > peak0:
+        return room                      # the peak rises with the trend
+    # The peak was set before: stay below it (a period's FIFO peaks at
+    # most its start plus its staged and pushed values).
+    return min(room, (peak0 - occ - len(ch._staged) - u) // d + 1)

@@ -475,7 +475,7 @@ class Engine:
             iters = max((-(-n // w) for w, n in ports if n), default=0)
             cycles += iters * p.ii
             for d in p.dram:
-                nbytes = iters * d.elements * d.buf.itemsize
+                nbytes = iters * d.nbytes
                 cycles += -(-nbytes // d.mem.bytes_per_cycle)
         return cycles
 

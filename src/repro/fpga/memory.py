@@ -34,12 +34,13 @@ and channels: they are the circles of the paper's MDAG figures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from .kernel import Clock, Pop, Push
 from .pattern import DramTraffic, PatternedGenerator, StaticPattern
+from .runs import RunOrder
 
 
 @dataclass(frozen=True)
@@ -329,19 +330,21 @@ class DramModel:
     def full_burst_deltas(self, traffic: Iterable[DramTraffic]):
         """Bank counter deltas ``[(BankStats, counter, delta)]`` of one
         cycle in which each ``traffic`` entry, in step order, requests
-        its full contiguous burst from fresh budgets — the DRAM step of
-        a period-1 superstep; None if the policy cuts any burst short."""
+        its full burst (at its stride penalty) from fresh budgets — the
+        DRAM step of a period-1 superstep; None if the policy cuts any
+        burst short."""
         budget = [self.bytes_per_cycle] * self.num_banks
         pool = self.num_banks * self.bytes_per_cycle
         acc: Dict[Tuple[int, str], int] = {}
         for d in traffic:
-            nbytes = d.elements * d.buf.itemsize
+            nbytes = d.nbytes
             granted, pool, grants, _ = self._draw(d.buf, nbytes, budget, pool)
             if granted != nbytes or d.mem is not self:
                 return None
             attr = "bytes_read" if d.kind == "read" else "bytes_written"
             for c, take in grants:
-                acc[c, attr] = acc.get((c, attr), 0) + take
+                # Useful bytes, as request_read/request_write count them.
+                acc[c, attr] = acc.get((c, attr), 0) + int(take // d.penalty)
                 acc[c, "busy_cycles"] = 1
         return [(self.bank_stats[c], attr, n) for (c, attr), n in acc.items()]
 
@@ -406,71 +409,45 @@ def read_kernel(mem: DramModel, buf: DramBuffer, ch, width: int = 1,
     """Stream ``buf`` into ``ch``, ``width`` elements per cycle at most.
 
     ``order`` is an iterable of flat indices defining the streaming order
-    (e.g. a tiled schedule from :mod:`repro.streaming.tiling`); by default
-    the buffer is streamed linearly.  ``repeat`` replays the whole order
-    that many times (the "vector must be replayed" case of Sec. III-B).
+    — a strided ``range``, a tiled schedule's
+    :class:`~repro.fpga.runs.RunOrder` from
+    :meth:`repro.streaming.tiling.MatrixSchedule.indices`, or any other
+    sequence; by default the buffer is streamed linearly.  ``repeat``
+    replays the whole order that many times (the "vector must be
+    replayed" case of Sec. III-B).
 
-    The linear path carries a :class:`~repro.fpga.pattern.StaticPattern`
-    (one full-width contiguous burst per cycle while the bank keeps
-    granting it), so bulk mode can fast-forward it; an explicit ``order``
-    keeps the general index-at-a-time generator and is always
-    event-stepped.  An order that *is* the linear order — a unit-stride
-    range covering the whole buffer, as the host API's stride plumbing
-    emits for ``inc == 1`` — is normalized to the patterned linear path,
-    so host-level routines stay certifiable in the common case.
+    One cursor serves every order: the order's run form maps stream
+    positions to flat indices, and each burst is charged the memory's
+    stride penalty unless its elements are consecutive.  The kernel
+    carries a :class:`~repro.fpga.pattern.StaticPattern` (one
+    ``width``-wide burst per iteration), so bulk mode can fast-forward
+    it, whenever every whole burst between two breaks of the order (see
+    :mod:`repro.fpga.runs`) costs the same budget: junctions between
+    runs are contiguous, ``width`` divides the run length, or runs are
+    single elements (every burst is strided).  Its
+    :meth:`~repro.fpga.pattern.StaticPattern.residue` is 0 only when
+    the next bursts are whole and of that one kind (nothing pending and,
+    for runs ``width`` divides, the cursor on a ``width`` boundary), its
+    ``phase`` is the cursor's offset within a run and the next break,
+    and ``ready()`` stops before a burst could straddle that break.
+    Other orders (runs ``width`` does not divide, with non-contiguous
+    junctions) alternate burst kinds and only declare their ports.
     """
-    if (isinstance(order, range) and order.start == 0 and order.step == 1
-            and len(order) == buf.num_elements):
-        order = None
-    if order is not None:
-        return _read_kernel_ordered(mem, buf, ch, width, order, repeat)
-    return _read_kernel_linear(mem, buf, ch, width, repeat)
-
-
-def _read_kernel_ordered(mem: DramModel, buf: DramBuffer, ch, width,
-                         order, repeat):
+    runs = (RunOrder.linear(buf.num_elements) if order is None
+            else RunOrder.of(order))
     itemsize = buf.itemsize
     flat = buf.data.reshape(-1)
-    for _ in range(repeat):
-        it: Iterator[int] = iter(order)
-        pending: list = []
-        exhausted = False
-        while pending or not exhausted:
-            while not exhausted and len(pending) < width:
-                try:
-                    pending.append(next(it))
-                except StopIteration:
-                    exhausted = True
-            if not pending:
-                break
-            contiguous = all(b == a + 1 for a, b in zip(pending, pending[1:]))
-            granted = mem.request_read(buf, len(pending) * itemsize,
-                                       contiguous=contiguous) // itemsize
-            if granted > 0:
-                vals = tuple(flat[i] for i in pending[:granted])
-                buf.elements_read += granted
-                yield Push(ch, vals, 1)
-                del pending[:granted]
-            yield Clock()
-
-
-class _LinearReadState:
-    """Shared cursor of the linear read kernel: the generator and the
-    pattern's ``block`` advance the same fields."""
-
-    __slots__ = ("pass_no", "base", "plen")
-
-    def __init__(self):
-        self.pass_no = 0
-        self.base = 0            # flat index of the oldest pending element
-        self.plen = 0            # granted-but-unsent elements (pending)
-
-
-def _read_kernel_linear(mem: DramModel, buf: DramBuffer, ch, width, repeat):
-    itemsize = buf.itemsize
-    flat = buf.data.reshape(-1)
-    n_el = buf.num_elements
-    st = _LinearReadState()
+    n_el = len(runs)
+    length = runs.length
+    # Junction contiguity matters only when junctions are not contiguous
+    # (the order's template); bursts on width boundaries of runs that
+    # width divides never straddle one, and with single-element runs
+    # every burst of two or more does.
+    free = runs.template
+    contiguous_bursts = free or length % width == 0
+    # A single run (the linear stream) is sliced in place, every cycle.
+    first = runs.start(0) if runs.count == 1 else None
+    st = _ReadState()
 
     def gen():
         while st.pass_no < repeat:
@@ -478,10 +455,16 @@ def _read_kernel_linear(mem: DramModel, buf: DramBuffer, ch, width, repeat):
                 take = min(width - st.plen, n_el - st.base - st.plen)
                 if take > 0:
                     st.plen += take
+                contiguous = (first is not None
+                              or runs.contiguous(st.base, st.base + st.plen))
                 granted = mem.request_read(
-                    buf, st.plen * itemsize, contiguous=True) // itemsize
+                    buf, st.plen * itemsize,
+                    contiguous=contiguous) // itemsize
                 if granted > 0:
-                    vals = tuple(flat[st.base:st.base + granted])
+                    b = st.base
+                    vals = tuple(flat[first + b:first + b + granted]
+                                 if first is not None
+                                 else runs.take(flat, b, b + granted))
                     buf.elements_read += granted
                     yield Push(ch, vals, 1)
                     st.base += granted
@@ -490,13 +473,32 @@ def _read_kernel_linear(mem: DramModel, buf: DramBuffer, ch, width, repeat):
             st.pass_no += 1
             st.base = 0
             st.plen = 0
+            st.limit = None
+
+    def limit():
+        # Stream position of the next break junction ahead of the cursor
+        # (constant between breaks, so cached until the cursor passes it).
+        lim = st.limit
+        if lim is None or st.base >= lim:
+            lim = st.limit = runs.next_break(st.base)
+        return lim
 
     def ready():
-        # Whole bursts still to fetch beyond the burst register.
-        return (n_el - st.base - st.plen) // width
+        # Whole bursts still to fetch beyond the burst register, short of
+        # a burst that could straddle the next break.
+        lim = st.limit
+        if lim is None or st.base >= lim:
+            lim = limit()
+        n = (lim - st.base - st.plen) // width
+        return n if n > 0 else 0
 
     def residue():
-        return st.plen
+        if st.plen or free or st.base % width == 0 or length == 1:
+            return st.plen
+        return width + 1                 # the next burst may straddle
+
+    def phase():
+        return limit() if free else (st.base % length, limit())
 
     def block(k, _ins):
         # k bursts leave the buffer in stream order from the oldest
@@ -505,13 +507,31 @@ def _read_kernel_linear(mem: DramModel, buf: DramBuffer, ch, width, repeat):
         moved = k * width
         st.base = base + moved
         buf.elements_read += moved
-        return [flat[base:base + moved]]
+        return [runs.take(flat, base, base + moved)]
 
+    if not (contiguous_bursts or length == 1):
+        return PatternedGenerator(gen(), StaticPattern.declare(
+            writes=((ch, width, 1),), write_totals=(n_el * repeat,)))
+    penalty = 1.0 if contiguous_bursts else mem.stride_penalty
     pat = StaticPattern(
         writes=((ch, width, 1),), ii=1, ready=ready, block=block,
-        residue=residue, dram=(DramTraffic(mem, buf, width, "read"),),
+        residue=residue, phase=phase if runs.count > 1 else None,
+        dram=(DramTraffic(mem, buf, width, "read", penalty),),
         write_totals=(n_el * repeat,))
     return PatternedGenerator(gen(), pat)
+
+
+class _ReadState:
+    """Shared cursor of the read kernel: the generator and the pattern's
+    ``block`` advance the same fields."""
+
+    __slots__ = ("pass_no", "base", "plen", "limit")
+
+    def __init__(self):
+        self.pass_no = 0
+        self.base = 0            # stream position of the oldest pending
+        self.plen = 0            # granted-but-unsent elements (pending)
+        self.limit = None        # cached position of the next break
 
 
 def write_kernel(mem: DramModel, buf: DramBuffer, ch, count: int,
@@ -519,67 +539,21 @@ def write_kernel(mem: DramModel, buf: DramBuffer, ch, count: int,
     """Drain ``count`` elements from ``ch`` into ``buf``.
 
     ``order`` gives the flat destination index for each received element
-    (default: linear).  Each cycle the kernel stores whatever the channel
-    has delivered (up to ``width`` elements) within the bank's bandwidth
+    (default: linear); like :func:`read_kernel` it is walked through its
+    run form, and the kernel carries the same kind of pattern for bulk
+    mode.  Each cycle the kernel stores whatever the channel has
+    delivered (up to ``width`` elements) within the bank's bandwidth
     grant, so partial grants and a slower producer do not halve the write
-    rate.
-
-    Like :func:`read_kernel`, the linear path is pattern-annotated for
-    bulk mode; an explicit ``order`` is always event-stepped — except a
-    unit-stride range starting at 0 (the linear order spelled out, as
-    :meth:`repro.streaming.tiling.MatrixSchedule.indices` produces for
-    full-width row bands), which is normalized to the patterned path.
+    rate.  Writes are charged no stride penalty, so the order only
+    scatters the stores.
     """
-    if (isinstance(order, range) and order.start == 0 and order.step == 1
-            and len(order) == count):
-        order = None
-    if order is not None:
-        return _write_kernel_ordered(mem, buf, ch, count, width, order)
-    return _write_kernel_linear(mem, buf, ch, count, width)
-
-
-def _write_kernel_ordered(mem: DramModel, buf: DramBuffer, ch, count,
-                          width, order):
+    runs = (RunOrder.linear(count) if order is None
+            else RunOrder.of(order))
     itemsize = buf.itemsize
     flat = buf.data.reshape(-1)
-    it: Iterator[int] = iter(order)
-    received = 0
-    pending: list = []
-    while received < count or pending:
-        # Top up the staging register with whatever is already visible;
-        # block for at least one element when empty (avoids busy-spin).
-        if received < count and len(pending) < width:
-            avail = min(ch.occupancy, width - len(pending),
-                        count - received)
-            if avail == 0 and not pending:
-                avail = 1
-            if avail > 0:
-                vals = yield Pop(ch, avail)
-                if avail == 1:
-                    vals = [vals]
-                pending.extend(vals)
-                received += avail
-        granted = mem.request_write(buf, len(pending) * itemsize) // itemsize
-        if granted > 0:
-            for v in pending[:granted]:
-                flat[next(it)] = v
-            buf.elements_written += granted
-            del pending[:granted]
-        yield Clock()
-
-
-class _LinearWriteState:
-    __slots__ = ("received", "pos")
-
-    def __init__(self):
-        self.received = 0
-        self.pos = 0             # next linear store index
-
-
-def _write_kernel_linear(mem: DramModel, buf: DramBuffer, ch, count, width):
-    itemsize = buf.itemsize
-    flat = buf.data.reshape(-1)
-    st = _LinearWriteState()
+    # A single run (the linear stream) is sliced in place, every cycle.
+    first = runs.start(0) if runs.count == 1 else None
+    st = _WriteState()
     pending: list = []
 
     def gen():
@@ -598,7 +572,11 @@ def _write_kernel_linear(mem: DramModel, buf: DramBuffer, ch, count, width):
             granted = mem.request_write(
                 buf, len(pending) * itemsize) // itemsize
             if granted > 0:
-                flat[st.pos:st.pos + granted] = pending[:granted]
+                p = st.pos
+                if first is not None:
+                    flat[first + p:first + p + granted] = pending[:granted]
+                else:
+                    runs.put(flat, p, p + granted, pending[:granted])
                 buf.elements_written += granted
                 st.pos += granted
                 del pending[:granted]
@@ -618,7 +596,7 @@ def _write_kernel_linear(mem: DramModel, buf: DramBuffer, ch, count, width):
         if pending:
             arr = np.concatenate((np.asarray(pending), arr))
             pending[:] = list(arr[moved:])
-        flat[st.pos:st.pos + moved] = arr[:moved]
+        runs.put(flat, st.pos, st.pos + moved, arr[:moved])
         buf.elements_written += moved
         st.received += moved
         st.pos += moved
@@ -629,3 +607,11 @@ def _write_kernel_linear(mem: DramModel, buf: DramBuffer, ch, count, width):
         residue=residue, dram=(DramTraffic(mem, buf, width, "write"),),
         read_totals=(count,))
     return PatternedGenerator(gen(), pat)
+
+
+class _WriteState:
+    __slots__ = ("received", "pos")
+
+    def __init__(self):
+        self.received = 0
+        self.pos = 0             # stream position of the next store

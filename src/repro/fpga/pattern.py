@@ -37,8 +37,21 @@ starts and ends with the same residue, it moves a whole number of
 them with the residue held fixed, and ``ready()`` counts the whole
 iterations left beyond the residue.
 
-Kernels whose steady loop is not statically regular (tiled level-2
-module generators, the reordering routers) use
+A reader streaming a non-linear order (:mod:`repro.fpga.runs`) also
+pays a stride penalty on bursts that straddle a non-contiguous junction
+between runs, so more rules hold for it.  ``residue()`` is 0 only when
+its next bursts are whole and all of its steady kind (contiguous, or
+strided for single-element runs) — otherwise it is non-zero even with
+an empty burst register, and the period-1 decider (which replays the
+steady burst every cycle) stays off.  Its
+:meth:`StaticPattern.phase` — the cursor's offset within a run and the
+position of the next junction that breaks the order's periodic
+template — joins the probe's fingerprint, so a period is only confirmed
+between states that see the same junctions ahead; and ``ready()``
+stops before any burst could straddle that break.
+
+Kernels whose steady loop is not statically regular (the reordering
+routers, level-2 modules whose tile width the lanes do not divide) use
 :meth:`StaticPattern.declare`: the ports are still documented for
 analysis/telemetry, but ``ready()`` is constantly 0 so the bulk
 scheduler always falls back to exact event stepping for them.
@@ -57,17 +70,27 @@ class DramTraffic:
     ``kind`` is ``"read"`` or ``"write"``; ``elements`` is the number of
     buffer elements moved per iteration (a full burst; a partially
     granted burst leaves the rest as the kernel's ``residue()``).
+    ``penalty`` is the budget the memory charges per useful byte of a
+    steady burst: its stride penalty when those bursts straddle
+    non-contiguous runs of the kernel's stream order, else 1.
     """
 
-    __slots__ = ("mem", "buf", "elements", "kind")
+    __slots__ = ("mem", "buf", "elements", "kind", "penalty")
 
-    def __init__(self, mem, buf, elements: int, kind: str):
+    def __init__(self, mem, buf, elements: int, kind: str,
+                 penalty: float = 1.0):
         if kind not in ("read", "write"):
             raise ValueError(f"kind must be 'read' or 'write', got {kind!r}")
         self.mem = mem
         self.buf = buf
         self.elements = elements
         self.kind = kind
+        self.penalty = penalty
+
+    @property
+    def nbytes(self) -> int:
+        """Budget bytes one full burst draws."""
+        return int(self.elements * self.buf.itemsize * self.penalty)
 
 
 class StaticPattern:
@@ -100,7 +123,15 @@ class StaticPattern:
         Zero-argument callable returning the size of the partial-burst
         state the kernel carries between cycles (granted-but-unsent
         elements of a DRAM reader, popped-but-unwritten elements of a
-        writer).  ``None`` means the kernel never carries any.
+        writer).  ``None`` means the kernel never carries any.  It may
+        be non-zero with nothing pending when the kernel's next bursts
+        could straddle a junction of its stream order.
+    phase:
+        Zero-argument callable returning a hashable position of the
+        kernel within a stream order that is only periodic between
+        junctions (a tiled DRAM reader's run offset and next break);
+        the superstep probe compares it across periods.  ``None`` means
+        the kernel's behaviour does not depend on where it stands.
     dram:
         Optional sequence of :class:`DramTraffic` descriptors for memory
         kernels, so bank counters can be advanced arithmetically.
@@ -121,7 +152,7 @@ class StaticPattern:
 
     __slots__ = ("reads", "writes", "ii", "dtype", "dram",
                  "read_totals", "write_totals", "defer",
-                 "_ready", "_block", "_residue")
+                 "_ready", "_block", "_residue", "_phase")
 
     def __init__(self, reads: Sequence[Tuple] = (),
                  writes: Sequence[Tuple] = (), ii: int = 1,
@@ -131,7 +162,8 @@ class StaticPattern:
                  read_totals: Optional[Sequence[Optional[int]]] = None,
                  write_totals: Optional[Sequence[Optional[int]]] = None,
                  defer: int = 0,
-                 residue: Optional[Callable[[], int]] = None):
+                 residue: Optional[Callable[[], int]] = None,
+                 phase: Optional[Callable[[], object]] = None):
         self.reads = tuple(reads)
         self.writes = tuple(writes)
         self.ii = ii
@@ -149,6 +181,7 @@ class StaticPattern:
         self._ready = ready
         self._block = block
         self._residue = residue
+        self._phase = phase
 
     @classmethod
     def declare(cls, reads: Sequence[Tuple] = (),
@@ -175,6 +208,12 @@ class StaticPattern:
         if self._residue is None:
             return 0
         return self._residue()
+
+    def phase(self):
+        """Position within a piecewise-periodic stream order (or None)."""
+        if self._phase is None:
+            return None
+        return self._phase()
 
     def block(self, k: int, ins: List) -> List:
         """Advance ``k`` iterations; return one output array per write."""

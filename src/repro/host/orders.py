@@ -8,13 +8,13 @@ API, the composed applications, and the tests.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from ..streaming.tiling import MatrixSchedule
 
 
-def matrix_order(schedule: MatrixSchedule) -> Iterator[int]:
-    """Alias for the schedule's own enumeration."""
+def matrix_order(schedule: MatrixSchedule) -> Iterable[int]:
+    """Alias for the schedule's own enumeration (its run form)."""
     return schedule.indices()
 
 

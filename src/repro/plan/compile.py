@@ -101,7 +101,7 @@ def plan_from_engine(engine: Any) -> PlanIR:
             dram = tuple(
                 PlanTraffic(buffer=d.buf.name, bank=d.buf.bank,
                             elements=d.elements, itemsize=d.buf.itemsize,
-                            kind=d.kind,
+                            kind=d.kind, penalty=d.penalty,
                             channels=(d.buf.placement.channels
                                       if d.buf.placement is not None
                                       and len(d.buf.placement.channels) > 1

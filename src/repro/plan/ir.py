@@ -74,6 +74,14 @@ class PlanTraffic:
     itemsize: int
     kind: str                    # "read" | "write"
     channels: Tuple[int, ...] = ()
+    #: Budget bytes drawn per useful byte: the memory's stride penalty
+    #: when the kernel's bursts may straddle non-contiguous runs, else 1.
+    penalty: float = 1.0
+
+    @property
+    def nbytes(self) -> int:
+        """Budget bytes one full burst draws."""
+        return int(self.elements * self.itemsize * self.penalty)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterator
+
+from ..fpga.runs import RunOrder
 
 
 class TileOrder(Enum):
@@ -103,20 +105,28 @@ class MatrixSchedule:
                 for r in range(r0, r0 + self.tile_rows):
                     yield r * self.cols + c
 
-    def indices(self) -> Iterable[int]:
+    def indices(self) -> RunOrder:
         """Flat row-major indices of the whole matrix in streaming order.
 
-        When the streaming order *is* the linear row-major order —
-        full-width row bands (``tile_cols == cols``) with row-major
-        elements — the result is a unit-stride :class:`range`, which
+        The result is the order's run form, a
+        :class:`~repro.fpga.runs.RunOrder`: an affine nest over (tile,
+        row or column within the tile) digits that iterates exactly like
+        :meth:`_indices_iter` but holds O(1) state, and that lets
         :func:`repro.fpga.memory.read_kernel` and
-        :func:`~repro.fpga.memory.write_kernel` normalize onto their
-        patterned linear fast path, keeping such schedules certifiable.
+        :func:`~repro.fpga.memory.write_kernel` walk the order run by
+        run.  When the streaming order *is* the linear row-major order —
+        full-width row bands (``tile_cols == cols``) with row-major
+        elements — it is a single run.
         """
-        if (self.elem_order is ElementOrder.ROW_MAJOR
-                and self.tile_cols == self.cols):
-            return range(self.num_elements)
-        return self._indices_iter()
+        rows = ((self.grid_rows, self.tile_rows * self.cols),)
+        cols = ((self.grid_cols, self.tile_cols),)
+        tiles = (rows + cols if self.tile_order is TileOrder.BY_ROWS
+                 else cols + rows)
+        if self.elem_order is ElementOrder.ROW_MAJOR:
+            elems = ((self.tile_rows, self.cols), (self.tile_cols, 1))
+        else:
+            elems = ((self.tile_cols, 1), (self.tile_rows, self.cols))
+        return RunOrder.nest(0, tiles + elems)
 
     def _indices_iter(self) -> Iterator[int]:
         for ti, tj in self.tiles():

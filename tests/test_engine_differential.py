@@ -27,7 +27,7 @@ be refused *before* a single cycle is simulated.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.blas import level1
@@ -831,3 +831,514 @@ class TestPaperThrottledStreams:
         for eng in engines:
             stats = eng.bulk_stats()
             assert stats["bulk_cycles"] >= 0.95 * eng.now, stats
+
+
+# ---------------------------------------------------------------------------
+# Ordered DRAM streams: tiled matrix schedules and strided ranges walked
+# through their run form by the one cursor-driven reader and writer.
+# ---------------------------------------------------------------------------
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+@st.composite
+def ordered_spec(draw):
+    from repro.streaming.tiling import ElementOrder, TileOrder
+
+    spec = {
+        "source": draw(st.sampled_from(("matrix", "range"))),
+        "op": draw(st.sampled_from(("copy", "axpy"))),
+        "width": draw(st.sampled_from((1, 2, 4, 8, 16))),
+        "bpc": draw(st.integers(4, 96)),
+        "shared_bank": draw(st.booleans()),
+        "depth": draw(st.integers(0, 48)),
+        "lat": draw(st.integers(1, 12)),
+        "order": draw(st.permutations(range(4))),
+        "out": draw(st.sampled_from(("same", "linear", "other"))),
+    }
+    if spec["source"] == "matrix":
+        rows = draw(st.sampled_from((4, 8, 12, 16, 24, 32)))
+        cols = draw(st.sampled_from((4, 8, 12, 16, 24, 32)))
+        spec.update(
+            rows=rows, cols=cols,
+            tile_rows=draw(st.sampled_from(_divisors(rows))),
+            tile_cols=draw(st.sampled_from(_divisors(cols))),
+            tile_order=draw(st.sampled_from(tuple(TileOrder))),
+            elem_order=draw(st.sampled_from(tuple(ElementOrder))))
+    else:
+        spec.update(n=draw(st.integers(1, 400)),
+                    start=draw(st.integers(0, 3)),
+                    step=draw(st.sampled_from((1, 2, 3, 5, -1, -2))))
+    return spec
+
+
+def _build_ordered(spec):
+    """DRAM read in an explicit order -> copy/axpy -> DRAM write in an
+    explicit order.  A ``matrix`` source streams a tiled
+    :class:`MatrixSchedule` (written back in the same order, linearly,
+    or in the transposed schedule's order); a ``range`` source a level-1
+    strided ``range`` (L = 1 runs).  With ``shared_bank`` the axpy's
+    linear y reader and the writer share the ordered reader's bank."""
+    from repro.fpga.memory import DramModel, read_kernel, write_kernel
+    from repro.streaming.tiling import MatrixSchedule
+
+    w = spec["width"]
+    mem = DramModel(num_banks=3, bytes_per_cycle=spec["bpc"])
+    eng = Engine(memory=mem)
+    depth = w + spec["depth"]
+    if spec["source"] == "matrix":
+        sched = MatrixSchedule(spec["rows"], spec["cols"], spec["tile_rows"],
+                               spec["tile_cols"], spec["tile_order"],
+                               spec["elem_order"])
+        n = size = sched.num_elements
+        order = sched.indices()
+        other = sched.transposed().indices()
+    else:
+        n, step = spec["n"], spec["step"]
+        first = spec["start"] + (0 if step > 0 else -step * (n - 1))
+        order = range(first, first + step * n, step)
+        size = max(order) + 1
+        other = range(n - 1, -1, -1)
+    out_order = {"same": order, "linear": None, "other": other}[spec["out"]]
+    x = np.arange(size, dtype=np.float32) % 29 - 14
+    bx = mem.bind("x", x, bank=0)
+    cx = eng.channel("cx", depth)
+    kernels = [("read_x", read_kernel(mem, bx, cx, w, order=order), 1)]
+    co = eng.channel("co", depth)
+    shared = 0 if spec["shared_bank"] else None
+    if spec["op"] == "axpy":
+        by = mem.bind("y", np.arange(n, dtype=np.float32) % 11 * 0.5,
+                      bank=shared if shared is not None else 1)
+        cy = eng.channel("cy", depth)
+        kernels.append(("read_y", read_kernel(mem, by, cy, w), 1))
+        compute = level1.axpy_kernel(n, 0.5, cx, cy, co, w)
+    else:
+        compute = level1.copy_kernel(n, cx, co, w)
+    kernels.append((spec["op"], compute, spec["lat"]))
+    bout = mem.allocate("out", size if out_order is order else n,
+                        bank=shared if shared is not None else 2)
+    kernels.append(("write", write_kernel(mem, bout, co, n, w,
+                                          order=out_order), 1))
+    for i in (i for i in spec["order"] if i < len(kernels)):
+        name, body, lat = kernels[i]
+        eng.add_kernel(name, body, latency=lat)
+    return eng, mem, bout
+
+
+def _ordered_outcome(mode, spec):
+    """Report, bank stats, output bytes and bulk counters of one run.  A
+    strided burst can cost more budget than a starved bank ever grants
+    (``bpc`` below ``stride_penalty`` x one element), which the
+    watchdog reports as a livelock: then the verdict is the report."""
+    from repro.fpga.errors import HangError
+
+    eng, mem, bout = _build_ordered(spec)
+    eng.mode = mode
+    try:
+        report = eng.run(max_cycles=200_000).to_dict()
+    except HangError as exc:
+        report = (type(exc).__name__, str(exc))
+    banks = [b.to_dict() for b in mem.bank_stats]
+    return report, banks, bout.data.tobytes(), eng.bulk_stats()
+
+
+class TestDifferentialOrdered:
+    """One reader and one writer serve linear, strided and tiled orders;
+    bulk and, where the design certifies, certified runs must match the
+    event core byte for byte, ``bank_stats`` included, while the stride
+    penalty shapes every grant."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(ordered_spec())
+    def test_ordered_designs_identical(self, spec):
+        from repro.analysis import AnalysisError
+
+        event = _ordered_outcome("event", spec)
+        bulk = _ordered_outcome("bulk", spec)
+        assert bulk[0] == event[0], f"report diverged for {spec}"
+        assert bulk[1] == event[1], f"bank stats diverged for {spec}"
+        assert bulk[2] == event[2], f"output bytes diverged for {spec}"
+        try:
+            certified = _ordered_outcome("certified", spec)
+        except AnalysisError:
+            return                       # refused pre-flight
+        assert certified[:3] == event[:3], f"certified diverged for {spec}"
+        # FB402 charges strided bursts their penalty: a certified design
+        # is granted every burst in full and never needs the probe.
+        assert certified[3]["probes"] == certified[3]["cooldowns"] == 0
+
+    @pytest.mark.parametrize("elem", ["row_major", "col_major"])
+    @pytest.mark.parametrize("tiles", ["tiles_by_rows", "tiles_by_cols"])
+    def test_tiled_copy_fast_forwards(self, tiles, elem):
+        """A throttled W=8 tiled copy engages the superstep tier in
+        every tile order, strided (col-major, L = 1) included."""
+        from repro.streaming.tiling import ElementOrder, TileOrder
+
+        spec = {"source": "matrix", "op": "copy", "width": 8, "bpc": 20,
+                "shared_bank": False, "depth": 8, "lat": 4,
+                "order": (0, 1, 2, 3), "out": "same", "rows": 64,
+                "cols": 64, "tile_rows": 16, "tile_cols": 16,
+                "tile_order": TileOrder(tiles),
+                "elem_order": ElementOrder(elem)}
+        event = _ordered_outcome("event", spec)
+        bulk = _ordered_outcome("bulk", spec)
+        assert bulk[:3] == event[:3]
+        assert bulk[3]["windows"] >= 1
+        assert bulk[3]["bulk_cycles"] >= 0.5 * bulk[0]["cycles"], bulk[3]
+
+
+# ---------------------------------------------------------------------------
+# The period-P probe next to kernels that sit outside its window.
+# ---------------------------------------------------------------------------
+
+def _sleeper(ch, n, nap):
+    """Unpatterned consumer that sleeps ``nap`` cycles, then drains."""
+    yield Clock(nap)
+    for _ in range(n):
+        yield Pop(ch, 1)
+        yield Clock()
+
+
+def _stuffer(ch, n):
+    """Unpatterned producer: one ``n``-wide push at latency 1."""
+    yield Push(ch, tuple(float(i) for i in range(n)), 1)
+    yield Clock()
+
+
+def _relaxation_design(foreign, bpc=53, nap=3000, n=8192):
+    """A W=16 DRAM copy throttled by a 53 B/cycle bank (period P > 1),
+    plus one kernel outside its steady state:
+
+    * ``"overdue"`` — a producer leaves 8 values staged behind a full
+      4-deep FIFO whose consumer sleeps (they are overdue every cycle);
+    * ``"push_blocked"`` — a patterned DRAM reader blocked on a push to
+      a full channel whose consumer sleeps;
+    * ``"spinner"`` — a DRAM reader on the copy's bank: while the copy's
+      reader draws the whole budget it is denied every cycle and moves
+      nothing (its consumer sleeps);
+    * ``"woken"`` — like ``push_blocked``, but the consumer pops the
+      blocked reader's channel every cycle, waking it mid-period.
+    """
+    from repro.fpga.memory import DramModel, read_kernel, write_kernel
+
+    mem = DramModel(num_banks=3, bytes_per_cycle=bpc)
+    eng = Engine(memory=mem)
+    bx = mem.bind("x", np.arange(n, dtype=np.float32) % 13, bank=0)
+    out = mem.allocate("out", n, bank=1)
+    cx = eng.channel("cx", 64)
+    co = eng.channel("co", 64)
+    eng.add_kernel("read_x", read_kernel(mem, bx, cx, 16))
+    eng.add_kernel("copy", level1.copy_kernel(n, cx, co, 16), latency=4)
+    eng.add_kernel("write", write_kernel(mem, out, co, n, 16))
+    cf = eng.channel("cf", 4)
+    if foreign == "overdue":
+        eng.add_kernel("stuffer", _stuffer(cf, 8))
+        eng.add_kernel("sleeper", _sleeper(cf, 8, nap))
+    else:
+        bank = 0 if foreign == "spinner" else 2
+        bz = mem.bind("z", np.arange(64, dtype=np.float32), bank=bank)
+        eng.add_kernel("read_z", read_kernel(mem, bz, cf, 4))
+        if foreign == "woken":
+            eng.add_kernel("drain", _sleeper(cf, 64, 1))
+        else:
+            eng.add_kernel("sleeper", _sleeper(cf, 64, nap))
+    return eng, mem, out
+
+
+def _relaxation_outcome(mode, foreign, **kw):
+    eng, mem, out = _relaxation_design(foreign, **kw)
+    eng.mode = mode
+    report = eng.run()
+    return (report.to_dict(), [b.to_dict() for b in mem.bank_stats],
+            out.data.tobytes()), eng.bulk_stats()
+
+
+class TestProbeBesideForeignKernels:
+    """A period-P probe must confirm beside kernels that cannot affect
+    its window — values overdue behind a full FIFO, a kernel blocked on
+    a push, a reader spinning on a denied grant — and must still fall
+    back when such a kernel is woken inside the measured period."""
+
+    @pytest.mark.parametrize("foreign",
+                             ["overdue", "push_blocked", "spinner"])
+    def test_probe_confirms_beside_foreign_kernel(self, foreign):
+        event, _ = _relaxation_outcome("event", foreign)
+        bulk, stats = _relaxation_outcome("bulk", foreign)
+        assert bulk == event
+        assert stats["windows"] >= 1, stats
+        assert stats["bulk_cycles"] >= 0.5 * 8192 / 13, stats
+
+    def test_spinner_denied_cycles_replayed(self):
+        """The spinner's bank counts one denied cycle per replayed
+        cycle, exactly as the event core charges them."""
+        event, _ = _relaxation_outcome("event", "spinner")
+        bulk, stats = _relaxation_outcome("bulk", "spinner")
+        assert stats["windows"] >= 1, stats
+        assert bulk[1][0]["denied_cycles"] == event[1][0]["denied_cycles"]
+        assert event[1][0]["denied_cycles"] > stats["bulk_cycles"] // 2
+
+    @pytest.mark.parametrize("foreign,kw", [
+        ("woken", {}),
+        # 60 B/cycle leaves the shared reader 7 B: it is granted now and
+        # then, so its channel moves inside the measured period.
+        ("spinner", {"bpc": 60}),
+        # The sleepers wake while the copy is still streaming.
+        ("overdue", {"nap": 200}),
+        ("push_blocked", {"nap": 200}),
+    ])
+    def test_woken_foreign_kernel_falls_back(self, foreign, kw):
+        event, _ = _relaxation_outcome("event", foreign, **kw)
+        bulk, _ = _relaxation_outcome("bulk", foreign, **kw)
+        assert bulk == event
+
+
+# ---------------------------------------------------------------------------
+# The paper's tiled level-2 workloads (W=16 on Stratix 10, tile 64).
+# ---------------------------------------------------------------------------
+
+class TestTiledLevel2FastForward:
+    """Tiled reads of A and writes of B go through the patterned reader
+    and writer, so the level-2 compositions engage the superstep tier
+    tile by tile and stay byte-identical to the event core."""
+
+    TILE = 64
+
+    @staticmethod
+    def _runs(monkeypatch, mode, call):
+        """Run ``call(mode)``; return its value and, per engine run, the
+        report, the bank stats and the bulk counters."""
+        runs = []
+        real = Engine.run
+
+        def run(self, *args, **kwargs):
+            report = real(self, *args, **kwargs)
+            runs.append((report.to_dict(),
+                         [b.to_dict() for b in self.memory.bank_stats],
+                         self.bulk_stats()))
+            return report
+        monkeypatch.setattr(Engine, "run", run)
+        value = call(mode)
+        monkeypatch.setattr(Engine, "run", real)
+        return value, runs
+
+    def _compare(self, monkeypatch, call):
+        ev_value, ev_runs = self._runs(monkeypatch, "event", call)
+        value, runs = self._runs(monkeypatch, "bulk", call)
+        assert [r[:2] for r in runs] == [r[:2] for r in ev_runs]
+        for got, want in zip(value, ev_value):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        return [r[2] for r in runs]
+
+    @staticmethod
+    def _ctx():
+        from repro.fpga.device import STRATIX10
+        from repro.host import FblasContext
+
+        return FblasContext(device=STRATIX10, interleaving=False)
+
+    @staticmethod
+    def _data(n, count):
+        rng = np.random.default_rng(7)
+        return (rng.standard_normal((n, n)).astype(np.float32),
+                [rng.standard_normal(n).astype(np.float32)
+                 for _ in range(count)])
+
+    def test_host_gemv_512_one_window_per_tile(self, monkeypatch):
+        from repro.fpga.device import STRATIX10
+        from repro.host import Fblas
+
+        n = 512
+        a, (x, y) = self._data(n, 2)
+
+        def call(mode):
+            fb = Fblas(device=STRATIX10, interleaving=False, width=16,
+                       engine_mode=mode, tile=self.TILE)
+            return [fb.gemv(1.5, fb.copy_to_device(a), fb.copy_to_device(x),
+                            0.5, fb.copy_to_device(y))]
+        (stats,) = self._compare(monkeypatch, call)
+        assert stats["windows"] >= (n // self.TILE) ** 2, stats
+        assert stats["bulk_cycles"] >= 0.85 * 24_000, stats
+
+    def test_bicg_one_window_per_tile(self, monkeypatch):
+        from repro.apps import bicg_streaming
+
+        n = 256
+        a, (p, r) = self._data(n, 2)
+
+        def call(mode):
+            ctx = self._ctx()
+            return bicg_streaming(ctx, ctx.copy_to_device(a),
+                                  ctx.copy_to_device(p),
+                                  ctx.copy_to_device(r), tile=self.TILE,
+                                  width=16, mode=mode).value
+        (stats,) = self._compare(monkeypatch, call)
+        assert stats["windows"] >= (n // self.TILE) ** 2, stats
+
+    def test_gemver_both_phases_fast_forward(self, monkeypatch):
+        from repro.apps import gemver_streaming
+
+        n = 256
+        a, vs = self._data(n, 6)
+
+        def call(mode):
+            ctx = self._ctx()
+            return gemver_streaming(
+                ctx, ctx.copy_to_device(a),
+                *[ctx.copy_to_device(v) for v in vs], 1.5, 0.5,
+                tile=self.TILE, width=16, mode=mode).value
+        ger_phase, gemv_phase = self._compare(monkeypatch, call)
+        # Phase 1: GER -> GER -> fan-out to the B writer and GEMV^T;
+        # phase 2 (w = alpha B x) reads B back in tile order.
+        for phase in (ger_phase, gemv_phase):
+            assert phase["windows"] >= (n // self.TILE) ** 2, phase
+
+    def test_atax_one_window_per_tile(self, monkeypatch):
+        """ATAX buffers a whole row of tiles between its GEMVs: that
+        deep FIFO fills during the first row (its consumer waits for
+        the first GEMV's output) and drains by a few values per period
+        after it, and the windows replay the trend."""
+        from repro.apps.atax import atax_streaming
+
+        n = 256
+        a, (x,) = self._data(n, 1)
+
+        def call(mode):
+            ctx = self._ctx()
+            return [atax_streaming(ctx, ctx.copy_to_device(a),
+                                   ctx.copy_to_device(x), tile=self.TILE,
+                                   width=16, mode=mode).value]
+        (stats,) = self._compare(monkeypatch, call)
+        assert stats["windows"] >= (n // self.TILE) ** 2, stats
+
+
+# ---------------------------------------------------------------------------
+# Deep FIFOs that fill or drain steadily (the ATAX row-of-tiles buffer).
+# ---------------------------------------------------------------------------
+
+deep_spec = st.fixed_dictionaries({
+    "n": st.integers(1, 3000),
+    "width": st.sampled_from((2, 4, 8, 16)),
+    # The slow branch pops 1/1, 1/2 or 1/4 of the fan-out's lanes.
+    "slow": st.sampled_from((1, 2, 4)),
+    "deep": st.integers(0, 3000),
+    "bpc": st.integers(8, 96),
+    "shared_bank": st.booleans(),
+    # Cycles the slow branch sleeps before it starts (its input fills).
+    "nap": st.sampled_from((0, 0, 40, 300, 1500)),
+    "lat": st.integers(1, 12),
+    "order": st.permutations(range(6)),
+})
+
+
+def _napping(body, nap):
+    """``body`` after ``nap`` idle cycles (the pattern is lost: the
+    kernel stays event-stepped)."""
+    if nap:
+        yield Clock(nap)
+    return (yield from body)
+
+
+def _build_deep(spec):
+    """DRAM read -> fan-out -> (copy -> DRAM write) and (deep FIFO ->
+    narrower or late copy -> DRAM write): the deep branch fills while
+    its consumer is slower or asleep, and drains once the read ends."""
+    from repro.fpga.memory import DramModel, read_kernel, write_kernel
+    from repro.fpga.util import duplicate_kernel
+
+    n, w = spec["n"], spec["width"]
+    w2 = max(1, w // spec["slow"])
+    mem = DramModel(num_banks=3, bytes_per_cycle=spec["bpc"])
+    eng = Engine(memory=mem)
+    bx = mem.bind("x", np.arange(n, dtype=np.float32) % 23 - 11, bank=0)
+    out_a = mem.allocate("a", n, bank=1)
+    out_b = mem.allocate("b", n, bank=0 if spec["shared_bank"] else 2)
+    cx = eng.channel("cx", 2 * w)
+    ca = eng.channel("ca", 2 * w)
+    cb = eng.channel("cb", w + spec["deep"])
+    coa = eng.channel("coa", 2 * w)
+    cob = eng.channel("cob", 2 * w2)
+    kernels = [
+        ("read", read_kernel(mem, bx, cx, w), 1),
+        ("fanout", duplicate_kernel(cx, (ca, cb), n, w), 1),
+        ("copy_a", level1.copy_kernel(n, ca, coa, w), spec["lat"]),
+        ("copy_b", _napping(level1.copy_kernel(n, cb, cob, w2),
+                            spec["nap"]), spec["lat"]),
+        ("write_a", write_kernel(mem, out_a, coa, n, w), 1),
+        ("write_b", write_kernel(mem, out_b, cob, n, w2), 1),
+    ]
+    if not spec["nap"]:
+        kernels[3] = ("copy_b", level1.copy_kernel(n, cb, cob, w2),
+                      spec["lat"])
+    for i in spec["order"]:
+        name, body, lat = kernels[i]
+        eng.add_kernel(name, body, latency=lat)
+    return eng, mem, (out_a, out_b)
+
+
+def _deep_outcome(mode, spec):
+    eng, mem, outs = _build_deep(spec)
+    eng.mode = mode
+    report = eng.run(max_cycles=400_000)
+    return (report.to_dict(), [b.to_dict() for b in mem.bank_stats],
+            [o.data.tobytes() for o in outs]), eng.bulk_stats()
+
+
+class TestDifferentialDeepFifos:
+    """A deep FIFO that fills or drains by a steady amount per period is
+    replayed with its trend: its exact occupancy is provably irrelevant
+    while it stays away from empty and full, and the window must still
+    match the event core byte for byte, FIFO peaks included."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(deep_spec)
+    # A FIFO filling towards full: the window must stop short of it.
+    @example({"n": 278, "width": 2, "slow": 1, "deep": 260, "bpc": 8,
+              "shared_bank": True, "nap": 0, "lat": 1,
+              "order": (0, 1, 2, 3, 4, 5)})
+    def test_deep_designs_identical(self, spec):
+        event, _ = _deep_outcome("event", spec)
+        bulk, _ = _deep_outcome("bulk", spec)
+        assert bulk[0] == event[0], f"report diverged for {spec}"
+        assert bulk[1:] == event[1:], f"memory diverged for {spec}"
+
+    def test_trend_room_band(self):
+        """The replayable periods of a trending channel: every period
+        must start ``o + max(o, lanes)`` values above empty and ``u``
+        slots below full, and a filling channel whose FIFO peak was set
+        earlier must stay below it."""
+        from repro.fpga.bulk import _trend_room
+        from repro.fpga.channel import Channel
+
+        ch = Channel("deep", 1000)
+        ch._fifo.extend(range(500))
+        lanes = {ch: (None, 8)}
+        # Draining 10 per period (u=20 pushed, o=30 popped): periods
+        # start at 500, 490, ... and the last one may start at 60.
+        assert _trend_room(ch, -10, (20, 30), lanes, 0) == 45
+        # Filling 10 per period below a peak of 900 set earlier: a
+        # period starting at s peaks at most s + 30.
+        ch.stats.max_occupancy = 900
+        assert _trend_room(ch, 10, (30, 20), lanes, 900) == 38
+        # The measured period set the peak: it rises with the trend and
+        # only the free room bounds the window (s + 30 pushed <= 1000).
+        ch.stats.max_occupancy = 950
+        assert _trend_room(ch, 10, (30, 20), lanes, 900) == 48
+        # The measured period started 10 values above empty, below the
+        # 20 its 10 pops need: no window.
+        assert _trend_room(ch, 490, (500, 10), lanes, 900) is None
+        ch._push_waiters.append(object())
+        assert _trend_room(ch, -10, (20, 30), lanes, 0) is None
+
+    @pytest.mark.parametrize("slow,nap", [(2, 0), (1, 1500)])
+    def test_trending_fifo_fast_forwards(self, slow, nap):
+        """Both a narrower consumer (the deep FIFO fills inside the
+        window) and a sleeping one (it fills with its consumer outside)
+        engage the superstep tier."""
+        spec = {"n": 3000, "width": 8, "slow": slow, "deep": 3000,
+                "bpc": 20, "shared_bank": False, "nap": nap, "lat": 4,
+                "order": (0, 1, 2, 3, 4, 5)}
+        event, _ = _deep_outcome("event", spec)
+        bulk, stats = _deep_outcome("bulk", spec)
+        assert bulk == event
+        assert stats["windows"] >= 1 and stats["bulk_cycles"] >= 100, stats

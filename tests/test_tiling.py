@@ -130,3 +130,82 @@ class TestVectorSchedule:
             VectorSchedule(0)
         with pytest.raises(ValueError):
             VectorSchedule(4, replay=0)
+
+
+def _brute_break(flat, length, template, p):
+    """First junction position after ``p`` whose contiguity differs from
+    the template, by brute force over the materialised order."""
+    for q in range(p // length + 1, len(flat) // length):
+        if (flat[q * length] == flat[q * length - 1] + 1) != template:
+            return q * length
+    return len(flat)
+
+
+class TestRunForm:
+    """``MatrixSchedule.indices()`` is a :class:`RunOrder`: equal-length
+    contiguous runs whose starts are an affine nest, O(1) memory."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_dims(), st.sampled_from(list(TileOrder)),
+           st.sampled_from(list(ElementOrder)))
+    def test_runs_reproduce_indices_iter(self, dims, tile_order, elem_order):
+        s = MatrixSchedule(*dims, tile_order, elem_order)
+        runs = s.indices()
+        flat = list(s._indices_iter())
+        assert list(runs) == flat and len(runs) == len(flat)
+        assert len(runs) == runs.length * runs.count
+        for q in range(runs.count):
+            start = runs.start(q)
+            assert flat[q * runs.length:(q + 1) * runs.length] == \
+                list(range(start, start + runs.length))
+        assert runs.starts(0, runs.count).tolist() == \
+            flat[::runs.length]
+
+    @settings(max_examples=80, deadline=None)
+    @given(_dims(), st.sampled_from(list(TileOrder)),
+           st.sampled_from(list(ElementOrder)), st.integers(1, 9))
+    def test_bursts_contiguity_and_breaks(self, dims, tile_order,
+                                          elem_order, burst):
+        s = MatrixSchedule(*dims, tile_order, elem_order)
+        runs = s.indices()
+        flat = list(s._indices_iter())
+        data = np.arange(len(flat)) * 3
+        for p0 in range(len(flat)):
+            p1 = min(len(flat), p0 + burst)
+            seg = flat[p0:p1]
+            assert runs.contiguous(p0, p1) == all(
+                b == a + 1 for a, b in zip(seg, seg[1:]))
+            assert runs.take(data, p0, p1).tolist() == \
+                [data[i] for i in seg]
+            assert runs.next_break(p0) == _brute_break(
+                flat, runs.length, runs.template, p0)
+
+    def test_run_lengths(self):
+        assert row_tiles(8, 8, 4, 8).indices().count == 1      # linear
+        tiled = row_tiles(512, 512, 64, 64).indices()
+        assert (tiled.length, tiled.count) == (64, 4096)
+        assert not tiled.template
+        # The junction from the last tile of a tile row to the next tile
+        # row is contiguous: the only breaks are the tile-row ends.
+        assert tiled.next_break(0) == 512 * 64
+        col = row_tiles(8, 8, 4, 4, ElementOrder.COL_MAJOR).indices()
+        assert col.length == 1
+
+    @pytest.mark.parametrize("order", [
+        range(3, 40, 3), range(20, -1, -2), range(5, 9),
+        [0, 1, 2, 5, 6, 7, 10, 11, 12], [3, 4, 9, 10, 11, 12, 0, 1],
+        np.array([7, 8, 9, 1, 2]), [], [4],
+    ])
+    def test_any_order(self, order):
+        from repro.fpga.runs import RunOrder
+
+        runs = RunOrder.of(order)
+        assert list(runs) == [int(i) for i in order]
+        assert RunOrder.of(runs) is runs
+
+    def test_large_schedule_holds_no_index_array(self):
+        """A 16K x 16K schedule is described, not materialised."""
+        s = row_tiles(16384, 16384, 64, 64)
+        runs = s.indices()
+        assert runs._starts is None and runs.count == 16384 * 256
+        assert runs.start(runs.count - 1) == (16384 - 1) * 16384 + 16384 - 64
